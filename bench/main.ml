@@ -169,6 +169,29 @@ let pricing_round ~dim ~radius ~epsilon ~variant ~model ~stream ~reserves =
       (Mechanism.step mech ~x ~reserve:reserves.(i)
          ~market_index:(Vec.dot x theta))
 
+(* App 1's feature map φ = Dp.leakage → Compensation.per_owner →
+   Feature.of_compensations on the n = 100 market's 500-owner corpus,
+   cycling through 64 pre-drawn queries.  The fig4/fig5a rounds replay
+   a precomputed stream, so this is the only key that times φ. *)
+let app1_phi () =
+  let setup = Noisy_query.make ~seed:42 ~dim:100 ~rounds:2 () in
+  let corpus = setup.Noisy_query.corpus in
+  let contracts = Dm_synth.Movielens.contracts corpus in
+  let data_ranges = Dm_synth.Movielens.data_ranges corpus in
+  let rng = Rng.create 13 in
+  let queries =
+    Array.init 64 (fun _ ->
+        Dm_synth.Linear_query.draw rng ~dist:Dm_synth.Linear_query.Mixed
+          ~owners:setup.Noisy_query.owners)
+  in
+  let t = ref 0 in
+  fun () ->
+    let q = queries.(!t land 63) in
+    incr t;
+    let leakages = Dm_privacy.Dp.leakage q ~data_ranges in
+    Dm_market.Feature.of_compensations ~dim:setup.Noisy_query.dim
+      (Dm_privacy.Compensation.per_owner ~contracts ~leakages)
+
 let make_tests () =
   let open Bechamel in
   (* Fig. 4 / Table I / Fig. 5(a): App 1 rounds at n = 20 and n = 100. *)
@@ -349,6 +372,7 @@ let make_tests () =
         (Staged.stage (nq_round 20));
       Test.make ~name:"fig4+fig5a round n100 reserve"
         (Staged.stage (nq_round 100));
+      Test.make ~name:"app1 phi m500 n100" (Staged.stage (app1_phi ()));
       Test.make ~name:"fig5b round n55 log-linear"
         (Staged.stage (rental_round ()));
       Test.make ~name:"fig5c round n1024 sparse"
@@ -626,6 +650,35 @@ let serve_stage () =
   entries
 
 (* ------------------------------------------------------------------ *)
+(* App 1 feature-map allocation                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per φ call over 16 cycles of the 64 queries, after one
+   warm-up cycle; a "gc/" key, so [Dm_bench.Record.critical_prefixes]
+   flags its removal. *)
+let phi_stage () =
+  Format.fprintf ppf
+    "==================================================================@.";
+  Format.fprintf ppf "App 1 feature map: minor words per call@.";
+  Format.fprintf ppf
+    "==================================================================@.@.";
+  let phi = app1_phi () in
+  for _ = 1 to 64 do
+    ignore (Sys.opaque_identity (phi ()))
+  done;
+  let calls = 16 * 64 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (phi ()))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+  let entries = [ ("gc/app1_phi minor_words", words) ] in
+  Dm_experiments.Table.print ppf ~title:"App 1 phi (m = 500, n = 100)"
+    ~header:[ "benchmark"; "value" ]
+    (List.map (fun (name, v) -> [ name; Printf.sprintf "%.1f" v ]) entries);
+  entries
+
+(* ------------------------------------------------------------------ *)
 (* JSON trajectory file                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -696,9 +749,14 @@ let () =
   let serve_estimates =
     List.map (fun (name, v) -> (name, Some v)) (serve_stage ())
   in
+  let phi_estimates =
+    List.map (fun (name, v) -> (name, Some v)) (phi_stage ())
+  in
   let path =
     write_json ~stamp ~stage1_timings
-      ~stage2_estimates:(stage2_estimates @ journal_estimates @ serve_estimates)
+      ~stage2_estimates:
+        (stage2_estimates @ journal_estimates @ serve_estimates
+       @ phi_estimates)
   in
   (match pool with
   | Some p ->

@@ -207,8 +207,8 @@ let load path =
    silently drop from the bench matrix. *)
 let critical_prefixes =
   [
-    "pricing/sparse_cut"; "journal/"; "journal/fleet"; "hd/"; "stress/";
-    "serve/"; "gc/"; "auction/";
+    "pricing/sparse_cut"; "pricing/app1 phi"; "journal/"; "journal/fleet";
+    "hd/"; "stress/"; "serve/"; "gc/"; "auction/";
   ]
 
 let is_critical name =

@@ -32,11 +32,12 @@ val load : string -> (record, string) result
 val critical_prefixes : string list
 (** Benchmark-name prefixes whose disappearance from a newer record
     counts as a regression (currently the [pricing/sparse_cut] kernels,
-    the [journal/] overhead entries, the [hd/] projected-pricing
-    kernels, the [stress/] degradation entries and the batched-serving
-    [serve/] / [gc/] counters) — a refactor that silently
-    drops a perf-sensitive kernel from the bench matrix should fail
-    the compare, not pass it by vacuity. *)
+    the [pricing/app1 phi] feature map, the [journal/] overhead
+    entries, the [hd/] projected-pricing kernels, the [stress/]
+    degradation entries, the batched-serving [serve/] and the [gc/]
+    counters, and the [auction/] clearing kernels) — a refactor that
+    silently drops a perf-sensitive kernel from the bench matrix
+    should fail the compare, not pass it by vacuity. *)
 
 val is_critical : string -> bool
 (** Whether a stage-2 benchmark name matches {!critical_prefixes}. *)

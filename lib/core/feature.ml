@@ -4,10 +4,11 @@ let aggregate ~dim comps =
   let m = Vec.dim comps in
   if dim < 1 || dim > m then
     invalid_arg "Feature.aggregate: dim must be within [1, owner count]";
-  Array.iter
-    (fun c ->
-      if c < 0. then invalid_arg "Feature.aggregate: negative compensation")
-    comps;
+  let i = ref 0 in
+  while !i < m && Array.unsafe_get comps !i >= 0. do
+    incr i
+  done;
+  if !i < m then invalid_arg "Feature.aggregate: negative or NaN compensation";
   let sorted = Vec.sorted comps in
   let out = Vec.zeros dim in
   (* Partition boundaries ⌊k·m/dim⌋ make the parts as even as

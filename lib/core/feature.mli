@@ -18,7 +18,8 @@ val aggregate : dim:int -> Dm_linalg.Vec.t -> Dm_linalg.Vec.t
     sorted sequence into [dim] contiguous partitions of (near-)equal
     cardinality, and sums each partition.  The feature sum equals the
     total compensation exactly.  Requires [1 ≤ dim ≤ Vec.dim comps]
-    and non-negative compensations. *)
+    and non-negative compensations; raises [Invalid_argument] on any
+    other [dim] or on a negative or NaN compensation. *)
 
 val unit_normalize : Dm_linalg.Vec.t -> Dm_linalg.Vec.t
 (** Scale to unit L2 norm, as the App-1 setup does (‖x_t‖ = 1, so the

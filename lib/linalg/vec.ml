@@ -126,10 +126,97 @@ let concat = Array.append
 
 let slice v ~pos ~len = Array.sub v pos len
 
-let sorted v =
-  let w = Array.copy v in
-  Array.sort Float.compare w;
-  w
+(* [sorted] insertion-sorts runs of this length, then merges them
+   bottom-up, so it is O(n log n) in the worst case. *)
+let sort_run = 32
+
+let imin (a : int) b = if a < b then a else b
+
+let insertion_sort (a : t) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = Array.unsafe_get a i in
+    let j = ref (i - 1) in
+    while !j >= lo && x < Array.unsafe_get a !j do
+      Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+      decr j
+    done;
+    Array.unsafe_set a (!j + 1) x
+  done
+
+(* Merges the sorted [src.[lo, mid)] and [src.[mid, hi)] into
+   [dst.[lo, hi)], taking from the left on ties. *)
+let merge (src : t) (dst : t) lo mid hi =
+  let i = ref lo and j = ref mid in
+  for k = lo to hi - 1 do
+    if
+      !i < mid
+      && (!j >= hi
+         || not (Array.unsafe_get src !j < Array.unsafe_get src !i))
+    then begin
+      Array.unsafe_set dst k (Array.unsafe_get src !i);
+      incr i
+    end
+    else begin
+      Array.unsafe_set dst k (Array.unsafe_get src !j);
+      incr j
+    end
+  done
+
+(* Polymorphic [Array.sort Float.compare] boxes both operands of every
+   comparison; this sort compares with the unboxed [<].  NaNs, which
+   [<] cannot order, go first as [Float.compare] puts them. *)
+let sorted (v : t) =
+  let n = Array.length v in
+  let nans = ref 0 in
+  for i = 0 to n - 1 do
+    let x = Array.unsafe_get v i in
+    if Float.is_nan x then incr nans
+  done;
+  let lo = !nans in
+  let passes = ref 0 and width = ref sort_run in
+  while !width < n - lo do
+    incr passes;
+    width := 2 * !width
+  done;
+  (* The merge passes ping-pong between [out] and [buf]; their parity
+     picks where the runs start, so the last pass lands in [out]. *)
+  let out = Array.create_float n in
+  let buf = if !passes = 0 then out else Array.create_float n in
+  let src = ref (if !passes land 1 = 0 then out else buf) in
+  let dst = ref (if !passes land 1 = 0 then buf else out) in
+  let nan_pos = ref 0 and pos = ref lo in
+  for i = 0 to n - 1 do
+    let x = Array.unsafe_get v i in
+    if Float.is_nan x then begin
+      Array.unsafe_set out !nan_pos x;
+      incr nan_pos
+    end
+    else begin
+      Array.unsafe_set !src !pos x;
+      incr pos
+    end
+  done;
+  let start = ref lo in
+  while !start < n do
+    let stop = imin n (!start + sort_run) in
+    insertion_sort !src !start stop;
+    start := stop
+  done;
+  width := sort_run;
+  for _ = 1 to !passes do
+    let s = !src and d = !dst in
+    start := lo;
+    while !start < n do
+      let mid = imin n (!start + !width) in
+      let stop = imin n (!start + (2 * !width)) in
+      merge s d !start mid stop;
+      start := stop
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  out
 
 let pp ppf v =
   Format.fprintf ppf "[@[<hov>";

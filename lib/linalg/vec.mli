@@ -107,7 +107,12 @@ val concat : t -> t -> t
 val slice : t -> pos:int -> len:int -> t
 
 val sorted : t -> t
-(** A fresh copy sorted in increasing order. *)
+(** A fresh copy sorted in increasing order, [v] left unchanged.  At
+    every index the result compares equal under [Float.compare] to
+    [Array.sort Float.compare] applied to a copy of [v]: NaNs first,
+    then the rest by [<].  Without NaN or [-0.] the two are
+    bit-identical.  O(n log n) worst case, with no per-comparison
+    boxing. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [[v0; v1; ...]] with 6 significant digits. *)

@@ -5,17 +5,21 @@ type t =
   | Tanh of { cap : float; steepness : float }
 
 let linear ~rate =
-  if rate < 0. then invalid_arg "Compensation.linear: negative rate";
+  if not (rate >= 0.) then
+    invalid_arg "Compensation.linear: negative or NaN rate";
   Linear { rate }
 
 let tanh_contract ~cap ~steepness =
-  if cap < 0. then invalid_arg "Compensation.tanh_contract: negative cap";
-  if steepness < 0. then
-    invalid_arg "Compensation.tanh_contract: negative steepness";
+  if not (cap >= 0.) then
+    invalid_arg "Compensation.tanh_contract: negative or NaN cap";
+  if not (steepness >= 0.) then
+    invalid_arg "Compensation.tanh_contract: negative or NaN steepness";
   Tanh { cap; steepness }
 
-let amount c eps =
-  if eps < 0. then invalid_arg "Compensation.amount: negative leakage";
+(* Inlined into [per_owner]'s loop, where the result is stored unboxed. *)
+let[@inline] amount c eps =
+  if not (eps >= 0.) then
+    invalid_arg "Compensation.amount: negative or NaN leakage";
   match c with
   | Linear { rate } -> rate *. eps
   | Tanh { cap; steepness } -> cap *. tanh (steepness *. eps)
@@ -25,8 +29,14 @@ let cap = function
   | Tanh { cap; _ } -> cap
 
 let per_owner ~contracts ~leakages =
-  if Array.length contracts <> Vec.dim leakages then
+  let m = Vec.dim leakages in
+  if Array.length contracts <> m then
     invalid_arg "Compensation.per_owner: length mismatch";
-  Vec.init (Vec.dim leakages) (fun i -> amount contracts.(i) leakages.(i))
+  let out = Array.create_float m in
+  for i = 0 to m - 1 do
+    Array.unsafe_set out i
+      (amount (Array.unsafe_get contracts i) (Array.unsafe_get leakages i))
+  done;
+  out
 
 let total ~contracts ~leakages = Vec.sum (per_owner ~contracts ~leakages)

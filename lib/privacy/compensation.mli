@@ -17,15 +17,17 @@ type t =
       (** [π(ε) = cap·tanh(steepness·ε)]; both parameters ≥ 0. *)
 
 val linear : rate:float -> t
-(** Validates [rate ≥ 0]. *)
+(** Validates [rate ≥ 0]; a negative or NaN rate raises
+    [Invalid_argument]. *)
 
 val tanh_contract : cap:float -> steepness:float -> t
-(** Validates [cap ≥ 0] and [steepness ≥ 0]. *)
+(** Validates [cap ≥ 0] and [steepness ≥ 0]; a negative or NaN
+    parameter raises [Invalid_argument]. *)
 
 val amount : t -> float -> float
 (** [amount c eps] is the payment owed for leakage [eps ≥ 0].  Raises
-    [Invalid_argument] on negative leakage.  Always non-negative,
-    non-decreasing in [eps], and zero at zero. *)
+    [Invalid_argument] on negative or NaN leakage.  Always
+    non-negative, non-decreasing in [eps], and zero at zero. *)
 
 val cap : t -> float
 (** The supremum of [amount c]; [infinity] for linear contracts with a
@@ -34,7 +36,7 @@ val cap : t -> float
 val per_owner :
   contracts:t array -> leakages:Dm_linalg.Vec.t -> Dm_linalg.Vec.t
 (** Componentwise application; raises [Invalid_argument] on length
-    mismatch. *)
+    mismatch or on a leakage {!amount} rejects. *)
 
 val total : contracts:t array -> leakages:Dm_linalg.Vec.t -> float
 (** The query's reserve price [Σᵢ πᵢ(εᵢ)]. *)

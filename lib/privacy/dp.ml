@@ -4,24 +4,29 @@ type query = { weights : Vec.t; noise_scale : float }
 
 let make_query ~weights ~noise_scale =
   if Vec.dim weights = 0 then invalid_arg "Dp.make_query: no owners";
-  if noise_scale <= 0. then
+  if not (noise_scale > 0.) then
     invalid_arg "Dp.make_query: noise scale must be positive";
   { weights; noise_scale }
 
 let variance_to_scale v =
-  if v <= 0. then invalid_arg "Dp.variance_to_scale: variance must be positive";
+  if not (v > 0.) then
+    invalid_arg "Dp.variance_to_scale: variance must be positive";
   sqrt (v /. 2.)
 
 let owner_count q = Vec.dim q.weights
 
 let leakage q ~data_ranges =
-  if Vec.dim data_ranges <> Vec.dim q.weights then
-    invalid_arg "Dp.leakage: dimension mismatch";
-  Vec.map2
-    (fun w range ->
-      if range < 0. then invalid_arg "Dp.leakage: negative data range";
-      abs_float w *. range /. q.noise_scale)
-    q.weights data_ranges
+  let m = Vec.dim q.weights in
+  if Vec.dim data_ranges <> m then invalid_arg "Dp.leakage: dimension mismatch";
+  let out = Array.create_float m in
+  for i = 0 to m - 1 do
+    let range = Array.unsafe_get data_ranges i in
+    if not (range >= 0.) then
+      invalid_arg "Dp.leakage: negative or NaN data range";
+    Array.unsafe_set out i
+      (abs_float (Array.unsafe_get q.weights i) *. range /. q.noise_scale)
+  done;
+  out
 
 let true_answer q ~data = Vec.dot q.weights data
 

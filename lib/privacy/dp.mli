@@ -18,19 +18,21 @@ type query = {
 }
 
 val make_query : weights:Dm_linalg.Vec.t -> noise_scale:float -> query
-(** Validates [noise_scale > 0] and a non-empty weight vector. *)
+(** Validates [noise_scale > 0] (NaN is rejected) and a non-empty
+    weight vector. *)
 
 val variance_to_scale : float -> float
 (** The Laplace scale λ achieving a requested noise variance v > 0:
     [λ = √(v/2)] (Laplace(λ) has variance 2λ²).  The paper's consumers
-    pick variances from {10^k, |k| ≤ 4}. *)
+    pick variances from {10^k, |k| ≤ 4}.  Raises [Invalid_argument]
+    unless [v > 0] (NaN is rejected). *)
 
 val owner_count : query -> int
 
 val leakage : query -> data_ranges:Dm_linalg.Vec.t -> Dm_linalg.Vec.t
 (** [leakage q ~data_ranges] is the per-owner ε vector
     [εᵢ = |wᵢ|·Δᵢ/λ].  Raises [Invalid_argument] on dimension mismatch
-    or a negative range. *)
+    or a negative or NaN range. *)
 
 val true_answer : query -> data:Dm_linalg.Vec.t -> float
 (** The unperturbed answer [Σᵢ wᵢ·dᵢ]. *)

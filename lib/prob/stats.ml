@@ -72,9 +72,9 @@ let std xs =
 let quantile xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.quantile: empty input";
-  if p < 0. || p > 1. then invalid_arg "Stats.quantile: p outside [0,1]";
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
+  if not (p >= 0. && p <= 1.) then
+    invalid_arg "Stats.quantile: p outside [0,1] or NaN";
+  let sorted = Dm_linalg.Vec.sorted xs in
   let h = p *. float_of_int (n - 1) in
   let lo = int_of_float (Float.floor h) in
   let hi = min (lo + 1) (n - 1) in

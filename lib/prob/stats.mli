@@ -52,8 +52,9 @@ val std : float array -> float
 
 val quantile : float array -> float -> float
 (** [quantile xs p] for p ∈ [0,1], linear interpolation between order
-    statistics (type-7, the numpy default).  Raises [Invalid_argument]
-    on empty input or p outside [0,1]. *)
+    statistics (type-7, the numpy default), over [Dm_linalg.Vec.sorted]
+    order (NaNs first).  Raises [Invalid_argument] on empty input or
+    p outside [0,1] or NaN. *)
 
 val median : float array -> float
 

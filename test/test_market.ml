@@ -11,6 +11,8 @@ module Regret = Dm_market.Regret
 module Feature = Dm_market.Feature
 module Broker = Dm_market.Broker
 module Adversary = Dm_market.Adversary
+module Dp = Dm_privacy.Dp
+module Comp = Dm_privacy.Compensation
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_float_loose = Alcotest.(check (float 1e-6))
@@ -21,6 +23,12 @@ let check_string = Alcotest.(check string)
 let prop name count arb f =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count:(Test_env.qcheck_count count) arb f)
+
+let bits = Int64.bits_of_float
+
+let floats_eq a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> bits x = bits y) a b
 
 (* ------------------------------------------------------------------ *)
 (* Ellipsoid: construction and bounds                                  *)
@@ -527,6 +535,190 @@ let test_of_compensations () =
   check_float "reserve = Σ features" (Vec.sum x) reserve;
   (* All-equal compensations: features (4,4) → normalized (1/√2,1/√2). *)
   check_bool "values" true (Vec.approx_equal x [| 1. /. sqrt 2.; 1. /. sqrt 2. |])
+
+let test_aggregate_rejects_nan () =
+  Alcotest.check_raises "NaN compensation"
+    (Invalid_argument "Feature.aggregate: negative or NaN compensation")
+    (fun () -> ignore (Feature.aggregate ~dim:1 [| 1.; nan; 2. |]))
+
+(* The closure-based feature map φ that the loops in [Dp.leakage],
+   [Compensation.per_owner], [Feature.aggregate] and [Vec.sorted]
+   replaced, kept as the reference they must match bit for bit. *)
+module Reference_phi = struct
+  let leakage (q : Dp.query) ~data_ranges =
+    Vec.map2
+      (fun w range ->
+        if range < 0. then invalid_arg "Dp.leakage: negative data range";
+        abs_float w *. range /. q.Dp.noise_scale)
+      q.Dp.weights data_ranges
+
+  let amount c eps =
+    if eps < 0. then invalid_arg "Compensation.amount: negative leakage";
+    match c with
+    | Comp.Linear { rate } -> rate *. eps
+    | Comp.Tanh { cap; steepness } -> cap *. tanh (steepness *. eps)
+
+  let per_owner ~contracts ~leakages =
+    Vec.init (Vec.dim leakages) (fun i -> amount contracts.(i) leakages.(i))
+
+  let aggregate ~dim comps =
+    let m = Vec.dim comps in
+    if dim < 1 || dim > m then
+      invalid_arg "Feature.aggregate: dim must be within [1, owner count]";
+    Array.iter
+      (fun c ->
+        if c < 0. then invalid_arg "Feature.aggregate: negative compensation")
+      comps;
+    let sorted = Array.copy comps in
+    Array.sort Float.compare sorted;
+    let out = Vec.zeros dim in
+    for k = 0 to dim - 1 do
+      let start = k * m / dim in
+      let stop = (k + 1) * m / dim in
+      let acc = ref 0. in
+      for i = start to stop - 1 do
+        acc := !acc +. sorted.(i)
+      done;
+      out.(k) <- !acc
+    done;
+    out
+
+  let of_compensations ~dim comps =
+    let v = aggregate ~dim comps in
+    let n = Vec.norm2 v in
+    let features = if n <= 0. then v else Vec.scale (1. /. n) v in
+    (features, Vec.sum features)
+end
+
+(* m owners, dim ∈ [1, m], mixed contracts with zero rates and caps
+   (and a −0 rate, which makes −0 compensations), weights and ranges
+   with zeros and repeats, noise scales from the paper's variance grid,
+   random, or +∞ (every leakage 0). *)
+let phi_case_arb =
+  let open QCheck.Gen in
+  let gen =
+    let* m = int_range 1 1100 in
+    let* dim = int_range 1 m in
+    let* pool = array_repeat 4 (float_range (-2.) 2.) in
+    let weight =
+      frequency
+        [
+          (4, float_range (-3.) 3.);
+          (1, oneofl [ 0.; -0. ]);
+          (2, oneofa pool);
+        ]
+    in
+    let range =
+      frequency [ (4, float_range 0. 5.); (1, return 0.); (2, oneofl [ 1.; 4. ]) ]
+    in
+    let contract =
+      frequency
+        [
+          ( 1,
+            map
+              (fun rate -> Comp.linear ~rate)
+              (oneof [ oneofl [ 0.; -0. ]; float_range 0. 3. ]) );
+          ( 3,
+            map2
+              (fun cap steepness -> Comp.tanh_contract ~cap ~steepness)
+              (oneof [ return 0.; float_range 0. 3. ])
+              (oneof [ return 0.; float_range 0. 4. ]) );
+        ]
+    in
+    let noise_scale =
+      oneof
+        [
+          return infinity;
+          map
+            (fun k -> Dp.variance_to_scale (10. ** float_of_int k))
+            (int_range (-4) 4);
+          float_range 1e-3 10.;
+        ]
+    in
+    let* weights = array_repeat m weight in
+    let* data_ranges = array_repeat m range in
+    let* contracts = array_repeat m contract in
+    let+ noise_scale = noise_scale in
+    (dim, Dp.make_query ~weights ~noise_scale, data_ranges, contracts)
+  in
+  QCheck.make gen ~print:(fun (dim, q, _, _) ->
+      Printf.sprintf "m = %d, dim = %d, noise scale = %h"
+        (Vec.dim q.Dp.weights) dim q.Dp.noise_scale)
+
+(* [Vec.sorted] insertion-sorts runs of 32 and doubles the merged width
+   on every pass, so these lengths straddle each run and pass boundary
+   up to 1031. *)
+let sort_lengths =
+  [ 0; 1; 2; 500; 1031 ]
+  @ List.concat_map
+      (fun w -> [ w - 1; w; w + 1 ])
+      [ 32; 64; 128; 256; 512; 1024 ]
+
+let sort_case_arb =
+  let open QCheck.Gen in
+  let gen =
+    let* n = oneof [ oneofl sort_lengths; int_range 0 1100 ] in
+    let finite =
+      frequency [ (3, float_range (-100.) 100.); (1, oneofl [ -1.; 1.; 2.5 ]) ]
+    in
+    let* value =
+      oneofl
+        [
+          finite;
+          frequency
+            [
+              (6, finite);
+              (1, oneofl [ nan; 0.; -0.; infinity; neg_infinity ]);
+            ];
+        ]
+    in
+    let* v = array_repeat n value in
+    let+ shape = oneofl [ `Random; `Sorted; `Reversed; `Equal ] in
+    let sorted () =
+      let w = Array.copy v in
+      Array.sort Float.compare w;
+      w
+    in
+    match shape with
+    | `Random -> v
+    | `Sorted -> sorted ()
+    | `Reversed ->
+        let w = sorted () in
+        Array.init n (fun i -> w.(n - 1 - i))
+    | `Equal -> if n = 0 then v else Array.make n v.(0)
+  in
+  QCheck.make gen ~print:QCheck.Print.(array float)
+
+let phi_props =
+  [
+    prop "phi is bit-identical to the closure-based reference" 200
+      phi_case_arb (fun (dim, q, data_ranges, contracts) ->
+        let x, reserve =
+          let leakages = Dp.leakage q ~data_ranges in
+          Feature.of_compensations ~dim (Comp.per_owner ~contracts ~leakages)
+        in
+        let x', reserve' =
+          let leakages = Reference_phi.leakage q ~data_ranges in
+          Reference_phi.of_compensations ~dim
+            (Reference_phi.per_owner ~contracts ~leakages)
+        in
+        floats_eq x x' && bits reserve = bits reserve');
+    prop "Vec.sorted agrees with Array.sort Float.compare" 500 sort_case_arb
+      (fun v ->
+        let input = Array.copy v in
+        let got = Vec.sorted v in
+        let want = Array.copy v in
+        Array.sort Float.compare want;
+        let plain =
+          Array.for_all
+            (fun x -> not (Float.is_nan x || (x = 0. && Float.sign_bit x)))
+            v
+        in
+        floats_eq v input
+        && Array.length got = Array.length want
+        && Array.for_all2 (fun a b -> Float.compare a b = 0) got want
+        && ((not plain) || floats_eq got want));
+  ]
 
 let feature_props =
   [
@@ -1103,12 +1295,6 @@ let shard_mech ~dim ~rounds variant =
   Mechanism.create
     (Mechanism.config ~variant ~epsilon ())
     (Ellipsoid.ball ~dim ~radius:(2. *. sqrt (float_of_int dim)))
-
-let bits = Int64.bits_of_float
-
-let floats_eq a b =
-  Array.length a = Array.length b
-  && Array.for_all2 (fun x y -> bits x = bits y) a b
 
 let series_eq (a : Broker.series) (b : Broker.series) =
   a.Broker.checkpoints = b.Broker.checkpoints
@@ -2591,8 +2777,10 @@ let () =
           Alcotest.test_case "aggregate" `Quick test_aggregate;
           Alcotest.test_case "uneven partitions" `Quick test_aggregate_uneven;
           Alcotest.test_case "of compensations" `Quick test_of_compensations;
+          Alcotest.test_case "aggregate rejects NaN" `Quick
+            test_aggregate_rejects_nan;
         ]
-        @ feature_props );
+        @ feature_props @ phi_props );
       ( "mechanism",
         [
           Alcotest.test_case "variant names" `Quick test_variant_names;

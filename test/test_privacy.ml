@@ -32,6 +32,24 @@ let test_variance_to_scale () =
   check_float "v=2 gives λ=1" 1. (Dp.variance_to_scale 2.);
   check_float "v=8 gives λ=2" 2. (Dp.variance_to_scale 8.)
 
+(* NaN answers false to [x < 0.] and [x <= 0.]; these pin that each
+   input check rejects it all the same. *)
+let test_make_query_rejects_nan () =
+  Alcotest.check_raises "NaN noise scale"
+    (Invalid_argument "Dp.make_query: noise scale must be positive")
+    (fun () -> ignore (Dp.make_query ~weights:[| 1. |] ~noise_scale:nan))
+
+let test_variance_to_scale_rejects_nan () =
+  Alcotest.check_raises "NaN variance"
+    (Invalid_argument "Dp.variance_to_scale: variance must be positive")
+    (fun () -> ignore (Dp.variance_to_scale nan))
+
+let test_leakage_rejects_nan () =
+  let q = Dp.make_query ~weights:[| 1.; 2. |] ~noise_scale:1. in
+  Alcotest.check_raises "NaN data range"
+    (Invalid_argument "Dp.leakage: negative or NaN data range") (fun () ->
+      ignore (Dp.leakage q ~data_ranges:[| 1.; nan |]))
+
 let test_leakage_formula () =
   let q = Dp.make_query ~weights:[| 2.; -3.; 0. |] ~noise_scale:4. in
   let eps = Dp.leakage q ~data_ranges:[| 1.; 2.; 5. |] in
@@ -109,6 +127,27 @@ let test_amounts () =
     (match Comp.amount th (-0.1) with
     | _ -> false
     | exception Invalid_argument _ -> true)
+
+let test_amount_rejects_nan () =
+  List.iter
+    (fun c ->
+      Alcotest.check_raises "NaN leakage"
+        (Invalid_argument "Compensation.amount: negative or NaN leakage")
+        (fun () -> ignore (Comp.amount c nan)))
+    [ Comp.linear ~rate:1.; Comp.tanh_contract ~cap:1. ~steepness:1. ]
+
+let test_linear_rejects_nan () =
+  Alcotest.check_raises "NaN rate"
+    (Invalid_argument "Compensation.linear: negative or NaN rate") (fun () ->
+      ignore (Comp.linear ~rate:nan))
+
+let test_tanh_contract_rejects_nan () =
+  Alcotest.check_raises "NaN cap"
+    (Invalid_argument "Compensation.tanh_contract: negative or NaN cap")
+    (fun () -> ignore (Comp.tanh_contract ~cap:nan ~steepness:1.));
+  Alcotest.check_raises "NaN steepness"
+    (Invalid_argument "Compensation.tanh_contract: negative or NaN steepness")
+    (fun () -> ignore (Comp.tanh_contract ~cap:1. ~steepness:nan))
 
 let test_caps () =
   check_float "tanh cap" 4. (Comp.cap (Comp.tanh_contract ~cap:4. ~steepness:1.));
@@ -263,6 +302,12 @@ let () =
         [
           Alcotest.test_case "query validation" `Quick test_query_validation;
           Alcotest.test_case "variance to scale" `Quick test_variance_to_scale;
+          Alcotest.test_case "make_query rejects NaN" `Quick
+            test_make_query_rejects_nan;
+          Alcotest.test_case "variance_to_scale rejects NaN" `Quick
+            test_variance_to_scale_rejects_nan;
+          Alcotest.test_case "leakage rejects NaN" `Quick
+            test_leakage_rejects_nan;
           Alcotest.test_case "leakage formula" `Quick test_leakage_formula;
           Alcotest.test_case "leakage scaling" `Quick test_leakage_scaling;
           Alcotest.test_case "answers" `Quick test_answers;
@@ -272,6 +317,10 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_contract_validation;
           Alcotest.test_case "amounts" `Quick test_amounts;
+          Alcotest.test_case "amount rejects NaN" `Quick test_amount_rejects_nan;
+          Alcotest.test_case "linear rejects NaN" `Quick test_linear_rejects_nan;
+          Alcotest.test_case "tanh_contract rejects NaN" `Quick
+            test_tanh_contract_rejects_nan;
           Alcotest.test_case "caps" `Quick test_caps;
           Alcotest.test_case "totals" `Quick test_total;
         ]

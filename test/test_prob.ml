@@ -211,6 +211,11 @@ let test_quantiles () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.quantile: empty input")
     (fun () -> ignore (Stats.quantile [||] 0.5))
 
+let test_quantile_rejects_nan () =
+  Alcotest.check_raises "NaN p"
+    (Invalid_argument "Stats.quantile: p outside [0,1] or NaN") (fun () ->
+      ignore (Stats.quantile [| 1.; 2. |] nan))
+
 let test_summary () =
   let o = Stats.online_create () in
   List.iter (Stats.online_add o) [ 1.; 2.; 3. ];
@@ -430,6 +435,8 @@ let () =
           Alcotest.test_case "online vs batch" `Quick test_online_matches_batch;
           Alcotest.test_case "online empty" `Quick test_online_empty;
           Alcotest.test_case "quantiles" `Quick test_quantiles;
+          Alcotest.test_case "quantile rejects NaN p" `Quick
+            test_quantile_rejects_nan;
           Alcotest.test_case "summary" `Quick test_summary;
           Alcotest.test_case "merge empty cases" `Quick test_merge_empty;
         ]
