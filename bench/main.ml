@@ -34,6 +34,7 @@ module Rental = Dm_apps.Rental
 module Impression = Dm_apps.Impression
 module Ftrl = Dm_ml.Ftrl
 module Hashing = Dm_ml.Hashing
+module Avazu = Dm_synth.Avazu
 
 let ppf = Format.std_formatter
 
@@ -191,6 +192,67 @@ let app1_phi () =
     let leakages = Dm_privacy.Dp.leakage q ~data_ranges in
     Dm_market.Feature.of_compensations ~dim:setup.Noisy_query.dim
       (Dm_privacy.Compensation.per_owner ~contracts ~leakages)
+
+(* App 3 as dmbench's app3-n1024 workload prices it: the pure mechanism
+   at ε = n²/10⁵ with θ* fitted on 10⁴ training impressions, pricing
+   fresh impressions one-hot hashed into n = 1024 buckets.  Their cuts
+   keep b̃ to a few dozen nonzeros, where the uniform random supports
+   of the sparse_cut keys fill M in.  One fresh market prices 16,384
+   pre-drawn impressions and its decisions are recorded; a second
+   fresh market ([fresh ()]) that observes the same rounds in order
+   ([load i] writes round i into a recycled buffer, which the dense
+   mechanism never retains) is then in exactly the recorded state at
+   every round, so observe can be timed alone. *)
+let app3_recording () =
+  let dim = 1_024 in
+  let imp = Impression.make ~train_rounds:10_000 ~seed:3 ~dim ~rounds:1 () in
+  let model = Impression.model imp Impression.Sparse in
+  let fresh () =
+    Impression.mechanism
+      ~epsilon:(float_of_int (dim * dim) /. 100_000.)
+      imp Impression.Sparse Mechanism.pure
+  in
+  let rows =
+    Array.map
+      (fun i -> Array.of_list (Avazu.encode ~dim i))
+      (Avazu.generate (Rng.create 31) ~rounds:16_384)
+  in
+  let x = Vec.zeros dim and prev = ref [||] in
+  let load i =
+    Array.iter (fun f -> x.(f.Hashing.index) <- 0.) !prev;
+    Array.iter (fun f -> x.(f.Hashing.index) <- f.Hashing.value) rows.(i);
+    prev := rows.(i);
+    x
+  in
+  let m = fresh () in
+  let rounds =
+    Array.init (Array.length rows) (fun i ->
+        let x = load i in
+        let d = Mechanism.decide m ~x ~reserve:neg_infinity in
+        let accepted =
+          match d with
+          | Mechanism.Skip -> false
+          | Mechanism.Post { price; _ } -> price <= Model.index model x
+        in
+        Mechanism.observe m ~x d ~accepted;
+        (d, accepted))
+  in
+  (fresh, load, rounds)
+
+(* Each call observes the next recorded round; a fresh market takes
+   over at the end of the recording (one O(n²) set-up per 16,384
+   calls). *)
+let app3_observe_round () =
+  let fresh, load, rounds = app3_recording () in
+  let mech = ref (fresh ()) and t = ref 0 in
+  fun () ->
+    if !t = Array.length rounds then begin
+      mech := fresh ();
+      t := 0
+    end;
+    let d, accepted = rounds.(!t) in
+    Mechanism.observe !mech ~x:(load !t) d ~accepted;
+    incr t
 
 let make_tests () =
   let open Bechamel in
@@ -383,6 +445,7 @@ let make_tests () =
         (Staged.stage (sparse_cut_round 128));
       Test.make ~name:"sparse_cut n1024 nnz23"
         (Staged.stage (sparse_cut_round 1024));
+      Test.make ~name:"app3 observe n1024" (Staged.stage (app3_observe_round ()));
       Test.make ~name:"fig1 regret curve" (Staged.stage fig1_curve);
       Test.make ~name:"lemma8 adversarial round" (Staged.stage lemma8_round);
       Test.make ~name:"theorem3 1d round" (Staged.stage theorem3_round);
@@ -679,6 +742,45 @@ let phi_stage () =
   entries
 
 (* ------------------------------------------------------------------ *)
+(* App 3 observe allocation                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per exploratory observe — App 3's cut — over the
+   recorded market's 16,384 rounds; a "gc/" key, so
+   [Dm_bench.Record.critical_prefixes] flags its removal.  The count
+   repeats exactly: the rounds and the mechanism are seeded. *)
+let app3_observe_stage () =
+  Format.fprintf ppf
+    "==================================================================@.";
+  Format.fprintf ppf "App 3 observe: minor words per exploratory observe@.";
+  Format.fprintf ppf
+    "==================================================================@.@.";
+  let fresh, load, rounds = app3_recording () in
+  let mech = fresh () in
+  let cuts = ref 0 and words = ref 0. in
+  Array.iteri
+    (fun i (d, accepted) ->
+      let x = load i in
+      match d with
+      | Mechanism.Post { kind = Mechanism.Exploratory; _ } ->
+          let w0 = Gc.minor_words () in
+          Mechanism.observe mech ~x d ~accepted;
+          words := !words +. (Gc.minor_words () -. w0);
+          incr cuts
+      | _ -> Mechanism.observe mech ~x d ~accepted)
+    rounds;
+  let entries =
+    [ ("gc/app3_observe minor_words", !words /. float_of_int (max 1 !cuts)) ]
+  in
+  Dm_experiments.Table.print ppf
+    ~title:
+      (Printf.sprintf "App 3 observe (n = 1024, %d cuts in %d rounds)" !cuts
+         (Array.length rounds))
+    ~header:[ "benchmark"; "value" ]
+    (List.map (fun (name, v) -> [ name; Printf.sprintf "%.1f" v ]) entries);
+  entries
+
+(* ------------------------------------------------------------------ *)
 (* JSON trajectory file                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -752,11 +854,14 @@ let () =
   let phi_estimates =
     List.map (fun (name, v) -> (name, Some v)) (phi_stage ())
   in
+  let app3_estimates =
+    List.map (fun (name, v) -> (name, Some v)) (app3_observe_stage ())
+  in
   let path =
     write_json ~stamp ~stage1_timings
       ~stage2_estimates:
         (stage2_estimates @ journal_estimates @ serve_estimates
-       @ phi_estimates)
+       @ phi_estimates @ app3_estimates)
   in
   (match pool with
   | Some p ->

@@ -207,7 +207,8 @@ let load path =
    silently drop from the bench matrix. *)
 let critical_prefixes =
   [
-    "pricing/sparse_cut"; "pricing/app1 phi"; "journal/"; "journal/fleet";
+    "pricing/sparse_cut"; "pricing/app1 phi"; "pricing/app3 observe";
+    "journal/"; "journal/fleet";
     "hd/"; "stress/"; "serve/"; "gc/"; "auction/";
   ]
 

@@ -32,7 +32,8 @@ val load : string -> (record, string) result
 val critical_prefixes : string list
 (** Benchmark-name prefixes whose disappearance from a newer record
     counts as a regression (currently the [pricing/sparse_cut] kernels,
-    the [pricing/app1 phi] feature map, the [journal/] overhead
+    the [pricing/app1 phi] feature map, App 3's [pricing/app3 observe]
+    rounds, the [journal/] overhead
     entries, the [hd/] projected-pricing kernels, the [stress/]
     degradation entries, the batched-serving [serve/] and the [gc/]
     counters, and the [auction/] clearing kernels) — a refactor that

@@ -51,7 +51,12 @@ let make ~center ~shape =
   let r, c = Mat.dims shape in
   if r <> n || c <> n then invalid_arg "Ellipsoid.make: dimension mismatch";
   if n < 1 then invalid_arg "Ellipsoid.make: empty dimension";
-  if not (Mat.is_symmetric ~tol:(1e-6 *. (1. +. Mat.max_abs shape)) shape) then
+  (* Exact, not approximate: the sparse cut reads M·x as Mᵀ·x, which has
+     M·x's bits only while M(i, j) and M(j, i) agree bit for bit (a ±0
+     pair counts as equal, which both kernels absorb exactly).  [ball]
+     starts symmetric and both rank-one kernels and the scale fold keep
+     it so. *)
+  if not (Mat.is_symmetric ~tol:0. shape) then
     invalid_arg "Ellipsoid.make: shape not symmetric";
   let ok_diag = ref true in
   for i = 0 to n - 1 do
@@ -117,6 +122,28 @@ let contains ?(slack = 1e-9) t point =
 
 type cut_result = Cut of t | Too_shallow | Empty
 
+(* The new center is retained by the returned ellipsoid: [center_into]
+   transfers ownership of the buffer, so the caller must ping-pong two
+   buffers (and stop recycling any that escaped).  Both cut paths call
+   this only once the cut is certain, so a [Too_shallow] or [Empty]
+   exit never writes it. *)
+let new_center ?center_into t ~b =
+  match center_into with
+  | None -> Vec.copy t.center
+  | Some c ->
+      if Array.length c <> t.dim then
+        invalid_arg "Ellipsoid.cut_below: center_into dimension mismatch";
+      if c == t.center then
+        invalid_arg "Ellipsoid.cut_below: center_into aliases the center";
+      if c == b then
+        invalid_arg "Ellipsoid.cut_below: center_into aliases b_into";
+      Array.blit t.center 0 c 0 t.dim;
+      c
+
+let check_b_into ~x b =
+  if b == x then
+    invalid_arg "Ellipsoid.cut_below: b_into aliases the direction"
+
 (* Deep/central/shallow cut keeping {θ | xᵀθ ≤ price}, following
    Grötschel–Lovász–Schrijver (the paper's Lines 14–21).  Valid for
    α ∈ (−1/n, 1); α ≤ −1/n cannot shrink the ellipsoid and α ≥ 1
@@ -152,29 +179,12 @@ let cut_below_dense ?into ?b_into ?center_into t ~x ~price =
         match b_into with
         | None -> Vec.scale (t.scale /. half_width) (Mat.matvec t.shape x)
         | Some b ->
-            if b == x then
-              invalid_arg "Ellipsoid.cut_below: b_into aliases the direction";
+            check_b_into ~x b;
             ignore (Mat.matvec ~into:b t.shape x);
             Vec.scale_inplace (t.scale /. half_width) b;
             b
       in
-      (* The new center, by contrast, {e is} retained: [center_into]
-         transfers ownership of the buffer to the returned ellipsoid,
-         so the caller must ping-pong two buffers (and stop recycling
-         any that escaped). *)
-      let center =
-        match center_into with
-        | None -> Vec.copy t.center
-        | Some c ->
-            if Array.length c <> t.dim then
-              invalid_arg "Ellipsoid.cut_below: center_into dimension mismatch";
-            if c == t.center then
-              invalid_arg "Ellipsoid.cut_below: center_into aliases the center";
-            if c == b then
-              invalid_arg "Ellipsoid.cut_below: center_into aliases b_into";
-            Array.blit t.center 0 c 0 t.dim;
-            c
-      in
+      let center = new_center ?center_into t ~b in
       Vec.axpy (-.(1. +. (n *. alpha)) /. (n +. 1.)) b center;
       let shape, dlog =
         if t.dim = 1 then begin
@@ -207,8 +217,20 @@ let cut_below_dense ?into ?b_into ?center_into t ~x ~price =
     end
   end
 
-let cut_below_sparse t ~sx ~price =
-  let m = Mat.matvec_sparse t.shape sx in
+let cut_below_sparse ?b_into ?center_into t ~x ~sx ~price =
+  (* M·x computed as Mᵀ·x: M is bit-exactly symmetric (see [make]), so
+     streaming the nnz contiguous rows of the support yields M·x's bits
+     while reading O(nnz·n) adjacent entries, where gathering nnz
+     scattered columns from every row touches every page of M.  [m] is
+     the caller's scratch when given — a transient, like the dense
+     path's [b]. *)
+  let m =
+    match b_into with
+    | None -> Mat.matvec_t t.shape x
+    | Some b ->
+        check_b_into ~x b;
+        Mat.matvec_t ~into:b t.shape x
+  in
   (* xᵀMx as matvec-then-dot — the same reduction order as the pooled
      quadratic form, O(nnz) extra on top of the matvec we need anyway. *)
   let qm = Vec.Sparse.dot_dense sx m in
@@ -224,9 +246,11 @@ let cut_below_sparse t ~sx ~price =
     else begin
       let beta = 2. *. (1. +. (n *. alpha)) /. ((n +. 1.) *. (1. +. alpha)) in
       let factor = n *. n *. (1. -. (alpha *. alpha)) /. ((n *. n) -. 1.) in
-      (* b̃ = M·x / √(xᵀMx); the A-space direction is b = √scale·b̃. *)
-      let btilde = Vec.scale (1. /. sqrt qm) m in
-      let center = Vec.copy t.center in
+      (* b̃ = M·x / √(xᵀMx), scaled where M·x landed; the A-space
+         direction is b = √scale·b̃. *)
+      Vec.scale_inplace (1. /. sqrt qm) m;
+      let btilde = m in
+      let center = new_center ?center_into t ~b:btilde in
       Vec.axpy
         (-.(1. +. (n *. alpha)) /. (n +. 1.) *. sqrt t.scale)
         btilde center;
@@ -262,7 +286,7 @@ let cut_below ?into ?b_into ?center_into ?(mutate = false) t ~x ~price =
   if Vec.dim x <> t.dim then
     invalid_arg "Ellipsoid.cut_below: dimension mismatch";
   match if mutate && t.dim > 1 then Vec.Sparse.of_dense x else None with
-  | Some sx -> cut_below_sparse t ~sx ~price
+  | Some sx -> cut_below_sparse ?b_into ?center_into t ~x ~sx ~price
   | None -> cut_below_dense ?into ?b_into ?center_into t ~x ~price
 
 let cut_above ?into ?b_into ?center_into ?neg_into ?mutate t ~x ~price =

@@ -23,8 +23,8 @@ type t = private {
   dim : int;
   center : Dm_linalg.Vec.t;
   shape : Dm_linalg.Mat.t;
-      (** symmetric positive definite [M]; the true shape is
-          [A = scale·M] *)
+      (** bit-exactly symmetric positive definite [M] (see {!make});
+          the true shape is [A = scale·M] *)
   scale : float;
       (** positive scalar [s] of the representation [A = s·M].  Every
           dense cut folds its Löwner–John factor into [shape] and
@@ -42,9 +42,13 @@ type t = private {
 }
 
 val make : center:Dm_linalg.Vec.t -> shape:Dm_linalg.Mat.t -> t
-(** Validates dimensions and symmetry (loose tolerance); positive
-    definiteness is the caller's responsibility (checked cheaply via
-    the diagonal). *)
+(** Validates dimensions and {e exact} symmetry: [shape] must equal its
+    transpose bit for bit, a ±0 pair counting as equal, or
+    [Invalid_argument] is raised.  The sparse cut computes [M·x] as
+    [Mᵀ·x] and relies on it; every shape this module produces keeps it
+    ({!ball}, both cut paths and the scale fold), so only a foreign or
+    corrupted shape can fail.  Positive definiteness is the caller's
+    responsibility (checked cheaply via the diagonal). *)
 
 val ball : dim:int -> radius:float -> t
 (** The initial knowledge set of Algorithms 1–2:
@@ -106,10 +110,11 @@ val cut_below :
     keeps the shape bit-exactly symmetric, so no symmetrization pass
     is needed.
 
-    The dense path's two per-cut vector allocations take scratch
-    buffers with different ownership rules (both length [dim],
-    bit-identical results either way).  [b_into] holds the cut
-    direction [b = A·x/√(xᵀAx)], a transient consumed by the rank-one
+    The two per-cut vector allocations take scratch buffers with
+    different ownership rules (both length [dim], bit-identical
+    results either way).  [b_into] holds the cut direction
+    ([b = A·x/√(xᵀAx)], or [b̃] on the sparse path), a transient
+    consumed by the rank-one
     update — the caller may recycle it on every cut (it must not alias
     [x]).  [center_into] receives the {e new center}, which the
     returned [Cut] retains: ownership transfers, so a caller must
@@ -117,16 +122,19 @@ val cut_below :
     ellipsoid does {e not} hold) and abandon both the moment an
     ellipsoid escapes to other code — exactly the shape-buffer
     discipline of [Mechanism.ellipsoid].  It must not alias the
-    current center or [b_into].  The sparse in-place path ignores
-    both buffers.
+    current center or [b_into].  Both buffers serve the dense and the
+    sparse in-place path alike; neither path writes [center_into]
+    unless the result is [Cut].
 
     [mutate] (default [false]) permits the sparse fast path: when the
     cut direction [x] passes {!Dm_linalg.Vec.Sparse.of_dense}'s
     density threshold (and [dim > 1]), the Löwner–John factor is
-    multiplied into [scale] in O(1) and [shape] is rank-one-updated
-    {b in place} over the cut direction's support — O(nnz·n + nnz²)
-    per cut instead of O(n²).  The input ellipsoid's shape buffer is
-    then consumed (the returned [Cut] aliases it); callers detect this
+    multiplied into [scale] in O(1), [M·x] is computed as [Mᵀ·x] by
+    streaming the support's rows (bit-identical, as [shape] is exactly
+    symmetric — see {!make}), and [shape] is rank-one-updated
+    {b in place} over the support of [b̃ = M·x/√(xᵀMx)] —
+    O(nnz(x)·n + nnz(b̃)²) per cut instead of O(n²).  The input
+    ellipsoid's shape buffer is then consumed (the returned [Cut] aliases it); callers detect this
     by physical equality of the shape fields and must not reuse the
     input otherwise.  The scalar is folded back into [shape]
     (an O(n²) pass, and [scale] returns to [1.]) whenever it leaves

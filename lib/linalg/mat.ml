@@ -362,35 +362,12 @@ let project_batch ?into ~pt xs =
   u
 
 (* Sparse-aware kernels over a prebuilt {!Vec.Sparse} view.  They are
-   deliberately serial: their work is O(nnz·n) or O(nnz²), below the
-   flop count where pool dispatch pays, and the pricing hot loop that
-   calls them runs one round at a time anyway.  Reduction orders match
-   the dense kernels' (ascending index within each output element, the
-   exactly-zero terms skipped — exact for finite data, see
-   [sparse_support]), so on the same input the sparse and dense
-   kernels agree bit-for-bit. *)
-
-let matvec_sparse m (sx : Vec.Sparse.t) =
-  if sx.Vec.Sparse.dim <> m.cols then
-    invalid_arg "Mat.matvec_sparse: dimension mismatch";
-  let data = m.data in
-  let cols = m.cols in
-  let idx = sx.Vec.Sparse.idx and v = sx.Vec.Sparse.value in
-  let nnz = Array.length idx in
-  let y = Array.make m.rows 0. in
-  over_rows m.rows (fun lo hi ->
-      for i = lo to hi - 1 do
-        let base = i * cols in
-        let acc = ref 0. in
-        for k = 0 to nnz - 1 do
-          acc :=
-            !acc
-            +. (Array.unsafe_get data (base + Array.unsafe_get idx k)
-               *. Array.unsafe_get v k)
-        done;
-        Array.unsafe_set y i !acc
-      done);
-  y
+   serial: their work is O(nnz²), below the flop count where pool
+   dispatch pays, and the pricing hot loop that calls them runs one
+   round at a time anyway.  Reduction orders match the dense kernels'
+   (ascending index within each output element, the exactly-zero terms
+   skipped — exact for finite data, see [sparse_support]), so on the
+   same input the sparse and dense kernels agree bit-for-bit. *)
 
 let quad_sparse m (sx : Vec.Sparse.t) =
   if m.rows <> m.cols then invalid_arg "Mat.quad_sparse: not square";
@@ -467,10 +444,18 @@ let tmatvec_into ~gate y m x =
         end
       done)
 
-let matvec_t m x =
+let matvec_t ?into m x =
   if Array.length x <> m.rows then
     invalid_arg "Mat.matvec_t: dimension mismatch";
-  let y = Array.make m.cols 0. in
+  let y =
+    match into with
+    | None -> Array.make m.cols 0.
+    | Some y ->
+        if Array.length y <> m.cols then
+          invalid_arg "Mat.matvec_t: into dimension mismatch";
+        if y == x then invalid_arg "Mat.matvec_t: into aliases the input";
+        y
+  in
   tmatvec_into ~gate:(m.cols >= parallel_threshold) y m x;
   y
 

@@ -74,14 +74,22 @@ val matvec : ?into:Vec.t -> t -> Vec.t -> Vec.t
 (** [matvec a x] is [A·x].  [into], when given, receives the result
     (length [rows a], must not alias [x]). *)
 
-val matvec_t : t -> Vec.t -> Vec.t
+val matvec_t : ?into:Vec.t -> t -> Vec.t -> Vec.t
 (** [matvec_t a x] is [Aᵀ·x], without materializing the transpose.
     Row-major accumulation: each task owns a column range of the
     output and streams contiguous row segments, so the walk is
-    cache-friendly at any [n].  Fans column tiles over the default
-    {!Pool} at [cols ≥ 512]; every output element reduces over rows in
-    ascending order with the exact [xᵢ = 0] skip, so the result is
-    bit-identical at any worker count. *)
+    cache-friendly at any [n] and reads only the rows where [xᵢ ≠ 0]
+    — O(nnz·n) contiguous reads for a sparse [x].  Fans column tiles
+    over the default {!Pool} at [cols ≥ 512]; every output element
+    reduces over rows in ascending order with the exact [xᵢ = 0] skip,
+    so the result is bit-identical at any worker count.  On a
+    bit-exactly symmetric [a] (a ±0 pair counts as equal) with finite
+    entries this is bit-identical to [matvec a x]: element j sums the
+    same products in
+    the same ascending order, and the ±0 terms either side adds or
+    skips are exact (the running sum starts at +0 and never becomes
+    −0).  [into], when given, receives the result (length [cols a],
+    must not alias [x]). *)
 
 val project : ?into:Vec.t -> t -> Vec.t -> Vec.t
 (** [project p x] is [P·x] for a tall-skinny [k×n] projection matrix —
@@ -134,13 +142,6 @@ val matmul_tt : t -> t -> t
     either dimension of [a] reaches 512, so results are bit-identical
     at any worker count. *)
 
-val matvec_sparse : t -> Vec.Sparse.t -> Vec.t
-(** [matvec_sparse a sx] is [A·x] for a prebuilt sparse view of [x],
-    touching only the [nnz] columns in the support: O(n·nnz).
-    Bit-identical to [matvec a (Vec.Sparse.to_dense sx)] on finite
-    data (same per-row reduction order; the skipped terms are exact
-    ±0). *)
-
 val quad_sparse : t -> Vec.Sparse.t -> float
 (** [quad_sparse a sx] is the quadratic form [xᵀ·A·x] over the
     support × support block only: O(nnz²).  Bit-identical to
@@ -192,6 +193,10 @@ val symmetrize_inplace : t -> unit
     matrices that are symmetric by construction. *)
 
 val is_symmetric : ?tol:float -> t -> bool
+(** [is_symmetric ~tol a]: [a] is square and [|aᵢⱼ − aⱼᵢ| ≤ tol] for
+    every pair (default [tol = 1e-9]).  At [tol = 0.] this is exact
+    equality, a ±0 pair counting as equal.  NaN entries never fail the
+    test. *)
 
 val max_abs : t -> float
 (** Largest absolute entry; [0.] for an empty matrix. *)

@@ -119,7 +119,7 @@ val pp : Format.formatter -> t -> unit
 
 (** Read-only index/value views of sparse vectors, built once per round
     from a dense vector so the sparse-aware {!Mat} kernels
-    ([matvec_sparse], [quad_sparse], [rank_one_rescale_sparse]) can
+    ([quad_sparse], [rank_one_rescale_sparse]) can
     skip the zero coordinates without rescanning.  Views alias nothing:
     the index and value arrays are freshly gathered copies, so later
     mutation of the source vector does not affect them. *)

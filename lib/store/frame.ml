@@ -4,26 +4,42 @@
    input bytes per iteration with two 64-bit loads.  The CRC state is
    only 32 bits, so it folds into the first four bytes and the twelve
    remaining bytes contribute pure table lookups — halving the
-   loop-carried dependency chain relative to slicing-by-8. *)
-let table =
-  lazy
-    (let t0 =
-       Array.init 256 (fun n ->
-           let c = ref n in
-           for _ = 0 to 7 do
-             c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-           done;
-           !c)
-     in
-     let t = Array.make (16 * 256) 0 in
-     Array.blit t0 0 t 0 256;
-     for k = 1 to 15 do
-       for b = 0 to 255 do
-         let prev = t.(((k - 1) * 256) + b) in
-         t.((k * 256) + b) <- t0.(prev land 0xff) lxor (prev lsr 8)
-       done
-     done;
-     t)
+   loop-carried dependency chain relative to slicing-by-8.
+   Built on the first CRC of the process and published with a
+   compare-and-set: a top-level [lazy] forced by two domains at once
+   raises [CamlinternalLazy.Undefined] in one of them, while here a
+   domain that loses the race just drops its copy.  It is not built at
+   module initialisation: that 32 KB allocation at start-up shifts the
+   major GC's phase in every program linking dm_store, and raised
+   dmbench app3-n1024's heap_peak_mb by 14% without a single CRC. *)
+let build_table () =
+  let t0 =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let t = Array.make (16 * 256) 0 in
+  Array.blit t0 0 t 0 256;
+  for k = 1 to 15 do
+    for b = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + b) in
+      t.((k * 256) + b) <- t0.(prev land 0xff) lxor (prev lsr 8)
+    done
+  done;
+  t
+
+let table_cell = Atomic.make [||]
+
+let table () =
+  let t = Atomic.get table_cell in
+  if Array.length t > 0 then t
+  else begin
+    ignore (Atomic.compare_and_set table_cell t (build_table ()));
+    Atomic.get table_cell
+  end
 
 let[@inline] fold16 t c v64 w64 =
   let lo0 = Int64.to_int (Int64.logand v64 0xFFFF_FFFFL) lxor c in
@@ -52,7 +68,7 @@ let[@inline] fold1 t c b = Array.unsafe_get t ((c lxor b) land 0xff) lxor (c lsr
 let crc32 ?(init = 0) s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Frame.crc32: range out of bounds";
-  let t = Lazy.force table in
+  let t = table () in
   let c = ref (init lxor 0xFFFFFFFF) in
   let i = ref pos in
   let stop = pos + len in
@@ -69,7 +85,7 @@ let crc32 ?(init = 0) s ~pos ~len =
 let crc32_bytes ?(init = 0) s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length s then
     invalid_arg "Frame.crc32_bytes: range out of bounds";
-  let t = Lazy.force table in
+  let t = table () in
   let c = ref (init lxor 0xFFFFFFFF) in
   let i = ref pos in
   let stop = pos + len in
@@ -91,7 +107,7 @@ let crc32_bytes ?(init = 0) s ~pos ~len =
 let seal b ~stop =
   if stop < 0 || stop > Bytes.length b then
     invalid_arg "Frame.seal: range out of bounds";
-  let t = Lazy.force table in
+  let t = table () in
   let at = ref 0 in
   while !at < stop do
     if stop - !at < 8 then invalid_arg "Frame.seal: truncated frame";

@@ -115,8 +115,9 @@ let test_new_and_removed_entries () =
   check_bool "removed listed" true (contains out "removed")
 
 let test_critical_removal_flagged () =
-  (* Dropping a critical sparse_cut or app1 phi kernel from the matrix
-     is itself a regression; dropping a non-critical one still is not. *)
+  (* Dropping a critical sparse_cut, app1 phi or app3 observe kernel
+     from the matrix is itself a regression; dropping a non-critical
+     one still is not. *)
   check_bool "prefix list names sparse_cut" true
     (List.mem "pricing/sparse_cut" Record.critical_prefixes);
   check_bool "is_critical matches" true
@@ -129,6 +130,10 @@ let test_critical_removal_flagged () =
     (Record.is_critical "pricing/app1 phi m500 n100");
   check_bool "is_critical covers app1 phi gc" true
     (Record.is_critical "gc/app1_phi minor_words");
+  check_bool "is_critical covers app3 observe" true
+    (Record.is_critical "pricing/app3 observe n1024");
+  check_bool "is_critical covers app3 observe gc" true
+    (Record.is_critical "gc/app3_observe minor_words");
   check_bool "is_critical rejects others" true
     (not (Record.is_critical "pricing/fig1 regret curve"));
   let old_rec =
@@ -138,6 +143,7 @@ let test_critical_removal_flagged () =
           "stage2_ns_per_call": [
             { "benchmark": "pricing/sparse_cut n1024 nnz23", "ns": 50e3 },
             { "benchmark": "pricing/app1 phi m500 n100", "ns": 40e3 },
+            { "benchmark": "pricing/app3 observe n1024", "ns": 20e3 },
             { "benchmark": "pricing/fig1 regret curve", "ns": 900.0 } ] }|}
   in
   let new_rec =
@@ -149,7 +155,7 @@ let test_critical_removal_flagged () =
   let total, out =
     render (fun ppf -> Record.compare_records ppf ~threshold:0.25 old_rec new_rec)
   in
-  check_int "only the critical removals count" 2 total;
+  check_int "only the critical removals count" 3 total;
   check_bool "flagged as removed regression" true
     (contains out "REGRESSION (removed)");
   (* A critical kernel that is present but slower still goes through
@@ -161,6 +167,7 @@ let test_critical_removal_flagged () =
           "stage2_ns_per_call": [
             { "benchmark": "pricing/sparse_cut n1024 nnz23", "ns": 55e3 },
             { "benchmark": "pricing/app1 phi m500 n100", "ns": 44e3 },
+            { "benchmark": "pricing/app3 observe n1024", "ns": 22e3 },
             { "benchmark": "pricing/fig1 regret curve", "ns": 900.0 } ] }|}
   in
   let total, _ =

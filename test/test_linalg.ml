@@ -716,6 +716,14 @@ let test_projection_validation () =
   Alcotest.check_raises "project_t into mismatch"
     (Invalid_argument "Mat.project_t: into dimension mismatch") (fun () ->
       ignore (Mat.project_t ~into:(Vec.zeros 2) p [| 1.; 2. |]));
+  Alcotest.check_raises "matvec_t into mismatch"
+    (Invalid_argument "Mat.matvec_t: into dimension mismatch") (fun () ->
+      ignore (Mat.matvec_t ~into:(Vec.zeros 2) p [| 1.; 2. |]));
+  let sq = fill_mat 3 1 in
+  let x = [| 1.; 2.; 3. |] in
+  Alcotest.check_raises "matvec_t into aliases the input"
+    (Invalid_argument "Mat.matvec_t: into aliases the input") (fun () ->
+      ignore (Mat.matvec_t ~into:x sq x));
   Alcotest.check_raises "matmul_tt dimension mismatch"
     (Invalid_argument "Mat.matmul_tt: dimension mismatch") (fun () ->
       ignore (Mat.matmul_tt p (fill_rect 2 4 2)));
@@ -788,17 +796,38 @@ let test_sparse_view () =
     (Invalid_argument "Vec.Sparse.of_dense: max_density must be positive")
     (fun () -> ignore (Vec.Sparse.of_dense ~max_density:0. (Vec.ones 4)))
 
+(* Bit-exactly symmetric, plus some ±0 pairs (M(i,j) = −0 against
+   M(j,i) = +0): the only asymmetry an ellipsoid shape may carry, since
+   the dense rank-one kernel's skipped rows can leave one behind. *)
+let sym_mat n seed =
+  let a = fill_mat n seed in
+  let s = Mat.add a (Mat.transpose a) in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if (i + j + seed) mod 5 = 0 then begin
+        Mat.set s i j (-0.);
+        Mat.set s j i 0.
+      end
+    done
+  done;
+  s
+
 (* The sparse kernels promise bit-identity with their dense
    counterparts on the gathered vector, at any dimension and worker
-   count (the dense side may pool, the sparse side is serial). *)
+   count (the dense side may pool, the sparse side is serial).  The
+   sparse cut's M·x is [matvec_t] on the symmetric shape: it must
+   match [matvec] bit for bit and overwrite every entry of [into]. *)
 let check_sparse_kernels_at n =
   let a = fill_mat n 1 in
+  let s = sym_mat n 1 in
   let x = fill_vec ~sparse:true n 4 in
   let sx = Vec.Sparse.gather x in
   let check jobs () =
     let tag s = Printf.sprintf "%s n=%d jobs=%d" s n jobs in
-    check_bool (tag "matvec_sparse") true
-      (bits_equal_vec (Mat.matvec_sparse a sx) (Mat.matvec a x));
+    check_bool (tag "matvec_t ~into on a symmetric matrix") true
+      (bits_equal_vec
+         (Mat.matvec_t ~into:(Array.make n Float.nan) s x)
+         (Mat.matvec s x));
     check_bool (tag "quad_sparse") true
       (Int64.equal
          (Int64.bits_of_float (Mat.quad_sparse a sx))
@@ -869,11 +898,14 @@ let sparse_props =
       QCheck.(pair (int_range 1 32) (int_range 0 1000))
       (fun (n, seed) ->
         let a = fill_mat n seed in
+        let s = sym_mat n seed in
         let x = fill_vec ~sparse:true n (seed + 3) in
         let sx = Vec.Sparse.gather x in
         let y = fill_vec ~sparse:false n (seed + 5) in
         with_default_pool 2 (fun () ->
-            bits_equal_vec (Mat.matvec_sparse a sx) (Mat.matvec a x)
+            bits_equal_vec
+              (Mat.matvec_t ~into:(Array.make n Float.nan) s x)
+              (Mat.matvec s x)
             && Int64.equal
                  (Int64.bits_of_float (Mat.quad_sparse a sx))
                  (Int64.bits_of_float (Mat.quad a x))

@@ -26,9 +26,24 @@ let prop name count arb f =
 
 let bits = Int64.bits_of_float
 
-let floats_eq a b =
+(* Bit-for-bit equality of float arrays, as a plain loop: a closure or
+   a call per element would box both floats, which dominates comparing
+   two n = 1024 shapes after every cut.  Equal nonzero floats have
+   equal bits, zeros are told apart by the sign of 1/x, and only NaNs
+   fall back to the bit patterns. *)
+let floats_eq (a : float array) b =
   Array.length a = Array.length b
-  && Array.for_all2 (fun x y -> bits x = bits y) a b
+  &&
+  let i = ref 0 in
+  while
+    !i < Array.length a
+    &&
+    let x = Array.unsafe_get a !i and y = Array.unsafe_get b !i in
+    if x = y then x <> 0. || 1. /. x = 1. /. y else bits x = bits y
+  do
+    incr i
+  done;
+  !i = Array.length a
 
 (* ------------------------------------------------------------------ *)
 (* Ellipsoid: construction and bounds                                  *)
@@ -2412,6 +2427,315 @@ let sparse_equivalence_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Streamed sparse cut vs the gathered reference                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The sparse in-place cut as it stood before M·x was streamed from the
+   support's rows: M·x gathered column by column from every row of M,
+   and b̃ and the new center freshly allocated.  Same arithmetic in the
+   same order, so the library's streamed cut must reproduce it bit for
+   bit. *)
+module Reference_cut = struct
+  type t = {
+    center : Vec.t;
+    shape : Mat.t;  (* mutated in place, like the library's *)
+    scale : float;
+    log_vol : float;
+    cuts : int;
+  }
+
+  let of_ellipsoid (e : Ellipsoid.t) =
+    {
+      center = Vec.copy e.Ellipsoid.center;
+      shape = Mat.copy e.Ellipsoid.shape;
+      scale = e.Ellipsoid.scale;
+      log_vol = e.Ellipsoid.log_vol;
+      cuts = e.Ellipsoid.cuts_since_sync;
+    }
+
+  let matvec_gather m (sx : Vec.Sparse.t) =
+    let idx = sx.Vec.Sparse.idx and v = sx.Vec.Sparse.value in
+    Array.init (Mat.rows m) (fun i ->
+        let acc = ref 0. in
+        for k = 0 to Array.length idx - 1 do
+          acc := !acc +. (Mat.get m i idx.(k) *. v.(k))
+        done;
+        !acc)
+
+  let cut_below t ~x ~price =
+    let dim = Vec.dim x in
+    let sx =
+      match Vec.Sparse.of_dense x with
+      | Some sx -> sx
+      | None -> invalid_arg "Reference_cut: direction too dense"
+    in
+    let m = matvec_gather t.shape sx in
+    let qm = Vec.Sparse.dot_dense sx m in
+    let q = t.scale *. qm in
+    if q <= 0. then None
+    else begin
+      let half_width = sqrt q in
+      let mid = Vec.Sparse.dot_dense sx t.center in
+      let n = float_of_int dim in
+      let alpha = (mid -. price) /. half_width in
+      if alpha >= 1. || alpha <= -1. /. n then None
+      else begin
+        let beta = 2. *. (1. +. (n *. alpha)) /. ((n +. 1.) *. (1. +. alpha)) in
+        let factor = n *. n *. (1. -. (alpha *. alpha)) /. ((n *. n) -. 1.) in
+        let btilde = Vec.scale (1. /. sqrt qm) m in
+        let center = Vec.copy t.center in
+        Vec.axpy
+          (-.(1. +. (n *. alpha)) /. (n +. 1.) *. sqrt t.scale)
+          btilde center;
+        let scale' =
+          Mat.rank_one_rescale_sparse t.shape ~beta:(-.beta)
+            ~b:(Vec.Sparse.gather btilde) ~factor ~scale:t.scale
+        in
+        let cuts = t.cuts + 1 in
+        let scale' =
+          if scale' < 1e-9 || scale' > 1e9 || cuts mod 1000 = 0 then begin
+            Mat.scale_inplace scale' t.shape;
+            1.
+          end
+          else scale'
+        in
+        Some
+          {
+            t with
+            center;
+            scale = scale';
+            log_vol = t.log_vol +. (0.5 *. ((n *. log factor) +. log1p (-.beta)));
+            cuts;
+          }
+      end
+    end
+
+  let cut_above t ~x ~price =
+    cut_below t ~x:(Array.map (fun v -> -1. *. v) x) ~price:(-.price)
+end
+
+(* App 3-like directions: [nnz] coordinates from a small pool with a
+   skewed preference for its first entries, so M's perturbed block —
+   and with it b̃'s support — stays a small part of the dimension, as
+   with hashed impressions at n = 1024. *)
+let skewed_dir rng ~pool ~nnz ~dim =
+  let x = Vec.zeros dim in
+  for _ = 1 to nnz do
+    let k = Rng.int rng (Rng.int rng (Array.length pool) + 1) in
+    x.(pool.(k)) <- (if Rng.bool rng then 1. else Dist.normal rng ~mean:0. ~std:1.)
+  done;
+  x
+
+let same_as_reference (r : Reference_cut.t) (e : Ellipsoid.t) =
+  floats_eq r.Reference_cut.center e.Ellipsoid.center
+  && floats_eq r.Reference_cut.shape.Mat.data e.Ellipsoid.shape.Mat.data
+  && bits r.Reference_cut.scale = bits e.Ellipsoid.scale
+  && bits r.Reference_cut.log_vol = bits e.Ellipsoid.log_vol
+  && r.Reference_cut.cuts = e.Ellipsoid.cuts_since_sync
+
+let all_nan v = Array.for_all Float.is_nan v
+
+(* One cut sequence through the reference and the three library routes
+   to the sparse cut: no buffers, caller buffers ping-ponged by hand
+   (NaN-filled before each cut, so a stale read or an early write
+   shows), and [Mechanism.observe].  The first two are compared with
+   the reference after every cut; the mechanism's bounds are compared
+   after every cut and its whole state (through its binary snapshot,
+   whose tail is the ellipsoid's image) every [mech_every] cuts and at
+   the end.  Returns the number of cuts taken, or the first
+   disagreement. *)
+let streamed_cut_run ~seed ~dim ~steps ~mech_every =
+  let rng = Rng.create seed in
+  let radius = 4. in
+  let pool = Array.init (max 4 (dim / 10)) (fun _ -> Rng.int rng dim) in
+  let nnz = max 1 (min 10 (dim / 9)) in
+  let reference = ref (Reference_cut.of_ellipsoid (Ellipsoid.ball ~dim ~radius)) in
+  let plain = ref (Ellipsoid.ball ~dim ~radius) in
+  let buffered = ref (Ellipsoid.ball ~dim ~radius) in
+  let b_buf = Vec.zeros dim and neg_buf = Vec.zeros dim in
+  let spare = ref (Vec.zeros dim) in
+  let mech =
+    Mechanism.create
+      (Mechanism.config ~variant:Mechanism.pure ~epsilon:1e-6 ())
+      (Ellipsoid.ball ~dim ~radius)
+  in
+  let failure = ref None and cuts = ref 0 and widest_b = ref 0 in
+  let fail fmt = Printf.ksprintf (fun s -> failure := Some s) fmt in
+  let mech_matches () =
+    let snap = Mechanism.snapshot_binary mech in
+    let img = Ellipsoid.serialize_binary !plain in
+    String.ends_with ~suffix:img snap
+  in
+  let step = ref 0 in
+  while !failure = None && !step < steps do
+    incr step;
+    let x = skewed_dir rng ~pool ~nnz ~dim in
+    let above = Rng.int rng 3 = 0 in
+    (* Mostly proper cuts, with some α ≤ −1/n (Too_shallow) and some
+       α ≥ 1 (Empty) to exercise the exits that must not write. *)
+    let alpha =
+      let shallow = -1. /. float_of_int dim in
+      match Rng.int rng 10 with
+      | 0 -> shallow -. (0.5 *. Rng.float rng)
+      | 1 -> 1. +. Rng.float rng
+      | _ -> (0.5 *. shallow) +. ((0.6 -. (0.5 *. shallow)) *. Rng.float rng)
+    in
+    let b = Ellipsoid.bounds !plain ~x in
+    let price =
+      if above then b.Ellipsoid.mid +. (alpha *. b.Ellipsoid.half_width)
+      else b.Ellipsoid.mid -. (alpha *. b.Ellipsoid.half_width)
+    in
+    let r' =
+      if above then Reference_cut.cut_above !reference ~x ~price
+      else Reference_cut.cut_below !reference ~x ~price
+    in
+    let rp =
+      if above then Ellipsoid.cut_above ~mutate:true !plain ~x ~price
+      else Ellipsoid.cut_below ~mutate:true !plain ~x ~price
+    in
+    Array.fill b_buf 0 dim Float.nan;
+    Array.fill !spare 0 dim Float.nan;
+    let rb =
+      if above then
+        Ellipsoid.cut_above ~b_into:b_buf ~center_into:!spare ~neg_into:neg_buf
+          ~mutate:true !buffered ~x ~price
+      else
+        Ellipsoid.cut_below ~b_into:b_buf ~center_into:!spare ~mutate:true
+          !buffered ~x ~price
+    in
+    let d = Mechanism.decide mech ~x ~reserve:neg_infinity in
+    (match d with
+    | Mechanism.Post { lower; upper; _ } ->
+        if bits lower <> bits b.Ellipsoid.lower || bits upper <> bits b.Ellipsoid.upper
+        then fail "step %d: mechanism bounds differ" !step
+    | Mechanism.Skip -> fail "step %d: mechanism skipped" !step);
+    Mechanism.observe mech ~x
+      (Mechanism.Post
+         {
+           price;
+           kind = Mechanism.Exploratory;
+           lower = b.Ellipsoid.lower;
+           upper = b.Ellipsoid.upper;
+         })
+      ~accepted:above;
+    (match (r', rp, rb) with
+    | Some r, Ellipsoid.Cut ep, Ellipsoid.Cut eb ->
+        incr cuts;
+        if not (ep.Ellipsoid.shape == !plain.Ellipsoid.shape
+                && eb.Ellipsoid.shape == !buffered.Ellipsoid.shape)
+        then fail "step %d: a cut left the sparse in-place path" !step
+        else if not (eb.Ellipsoid.center == !spare) then
+          fail "step %d: center_into not used" !step
+        else begin
+          widest_b :=
+            max !widest_b
+              (Array.fold_left (fun c v -> if v <> 0. then c + 1 else c) 0 b_buf);
+          spare := !buffered.Ellipsoid.center;
+          reference := r;
+          plain := ep;
+          buffered := eb;
+          if not (same_as_reference r ep) then
+            fail "step %d: unbuffered cut differs from the reference" !step
+          else if not (same_as_reference r eb) then
+            fail "step %d: buffered cut differs from the reference" !step
+        end
+    | None, (Ellipsoid.Too_shallow | Ellipsoid.Empty),
+      (Ellipsoid.Too_shallow | Ellipsoid.Empty) ->
+        if rp <> rb then fail "step %d: exits differ" !step
+        else if not (all_nan !spare) then
+          fail "step %d: center_into written on a no-cut exit" !step
+    | _ -> fail "step %d: cut decisions differ" !step);
+    if !failure = None && (!step mod mech_every = 0 || !step = steps) then
+      if not (mech_matches ()) then
+        fail "step %d: mechanism state differs from the reference" !step
+  done;
+  match !failure with
+  | Some msg -> Error msg
+  | None ->
+      if 2 * !widest_b >= dim then
+        Error (Printf.sprintf "b̃ filled in (%d of %d nonzero)" !widest_b dim)
+      else Ok !cuts
+
+let streamed_cut_props =
+  [
+    prop "streamed sparse cut bit-matches the gathered reference" 2
+      QCheck.(int_range 1 1_000_000)
+      (fun seed ->
+        List.for_all
+          (fun (dim, steps, mech_every, min_cuts) ->
+            match streamed_cut_run ~seed ~dim ~steps ~mech_every with
+            | Ok cuts when cuts >= min_cuts -> true
+            | Ok cuts ->
+                QCheck.Test.fail_reportf "dim %d: only %d cuts" dim cuts
+            | Error msg ->
+                QCheck.Test.fail_reportf "dim %d: %s" dim msg)
+          (* dims 8 and 128 cross the 1000-cut fold boundary *)
+          [ (8, 1_250, 1, 1_000); (128, 1_250, 1, 1_000); (1024, 60, 30, 30) ]);
+  ]
+
+(* A 2×2 shape one ulp off symmetric: M(0,1) = 0.5, M(1,0) = succ 0.5. *)
+let ulp_asymmetric_shape () =
+  Mat.of_arrays [| [| 1.; 0.5 |]; [| Float.succ 0.5; 1. |] |]
+
+let test_make_exact_symmetry () =
+  check_bool "one ulp off raises" true
+    (match
+       Ellipsoid.make ~center:(Vec.zeros 2) ~shape:(ulp_asymmetric_shape ())
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  (* A ±0 pair is the one asymmetry the dense rank-one kernel can leave
+     behind, and both M·x routes absorb it exactly. *)
+  check_bool "±0 pair accepted" true
+    (match
+       Ellipsoid.make ~center:(Vec.zeros 2)
+         ~shape:(Mat.of_arrays [| [| 1.; -0. |]; [| 0.; 1. |] |])
+     with
+    | _ -> true
+    | exception Invalid_argument _ -> false)
+
+let test_asymmetric_snapshots_refused () =
+  let shape_text a b =
+    Printf.sprintf "ellipsoid/1\n2\n0x0p+0 0x0p+0\n0x1p+0 %h %h 0x1p+0\n" a b
+  in
+  let symmetric = shape_text 0.5 0.5 and asymmetric = shape_text 0.5 (Float.succ 0.5) in
+  let is_error = function Error _ -> true | Ok _ -> false in
+  check_bool "symmetric text accepted" false (is_error (Ellipsoid.deserialize symmetric));
+  check_bool "text refused" true (is_error (Ellipsoid.deserialize asymmetric));
+  (* A binary image of a 2×2 ellipsoid starting at byte [at], with
+     M(0,1) and M(1,0) overwritten in place: the shape follows the
+     32-byte header and the two center entries. *)
+  let patch img ~at a b =
+    let by = Bytes.of_string img in
+    let entry k = at + 32 + 16 + (8 * k) in
+    Bytes.set_int64_le by (entry 1) (Int64.bits_of_float a);
+    Bytes.set_int64_le by (entry 2) (Int64.bits_of_float b);
+    Bytes.to_string by
+  in
+  let ball = Ellipsoid.ball ~dim:2 ~radius:1. in
+  let img = Ellipsoid.serialize_binary ball in
+  check_bool "symmetric binary accepted" false
+    (is_error (Ellipsoid.deserialize_binary (patch img ~at:0 0.5 0.5)));
+  check_bool "binary refused" true
+    (is_error
+       (Ellipsoid.deserialize_binary (patch img ~at:0 0.5 (Float.succ 0.5))));
+  let state = "false 0x0p+0 false 0x1p-3 0 0 0" in
+  check_bool "symmetric mechanism text accepted" false
+    (is_error (Mechanism.restore (Printf.sprintf "mechanism/1\n%s\n%s" state symmetric)));
+  check_bool "mechanism text refused" true
+    (is_error (Mechanism.restore (Printf.sprintf "mechanism/1\n%s\n%s" state asymmetric)));
+  (* A dense binary mechanism snapshot ends with the ellipsoid image. *)
+  let snap =
+    Mechanism.snapshot_binary
+      (Mechanism.create (Mechanism.config ~variant:Mechanism.pure ~epsilon:0.1 ()) ball)
+  in
+  let at = String.length snap - String.length img in
+  check_bool "symmetric mechanism binary accepted" false
+    (is_error (Mechanism.restore (patch snap ~at 0.5 0.5)));
+  check_bool "mechanism binary refused" true
+    (is_error (Mechanism.restore (patch snap ~at 0.5 (Float.succ 0.5))))
+
+(* ------------------------------------------------------------------ *)
 (* Arbitrage                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -2873,8 +3197,12 @@ let () =
             test_scaled_serialization;
           Alcotest.test_case "escaped ellipsoid safe under sparse cuts" `Quick
             test_mechanism_sparse_escape_safety;
+          Alcotest.test_case "make requires exact symmetry" `Quick
+            test_make_exact_symmetry;
+          Alcotest.test_case "asymmetric snapshots refused" `Quick
+            test_asymmetric_snapshots_refused;
         ]
-        @ sparse_equivalence_props );
+        @ sparse_equivalence_props @ streamed_cut_props );
       ( "robust",
         [
           Alcotest.test_case "snapshot resume across a switch" `Quick
