@@ -42,10 +42,14 @@ bench:
 # ... OK" line) and a tiny 2-domain bench smoke that
 # also writes a BENCH_*.json record exercising the perf-trajectory
 # pipeline.  When a previous BENCH_*.json exists, the smoke record is
-# compared against it and a flagged regression fails the target; the
-# threshold is loose (+150%) because the 0.01-scale smoke timings are
-# noisy — the compare mainly guards the critical sparse_cut keys
-# against silent removal and catches order-of-magnitude slowdowns.
+# compared against it and a flagged regression fails the target.
+# Timings are compared only when both records share scale, jobs and
+# cores; otherwise compare.exe exits 2 ("no record of this
+# configuration"), which passes, after still flagging any removed
+# critical key.  The threshold is loose (+150%) because the 0.01-scale
+# smoke timings are noisy — the compare mainly guards the critical
+# keys against silent removal and catches order-of-magnitude
+# slowdowns.
 ci: build
 	BENCH_JOBS=1 dune runtest --force
 	BENCH_JOBS=4 dune runtest --force
@@ -84,6 +88,10 @@ ci: build
 	new=$$(ls -1 BENCH_*.json 2>/dev/null | tail -1); \
 	if [ -n "$$prev" ] && [ "$$prev" != "$$new" ]; then \
 	  dune exec bench/compare.exe -- --threshold 1.5 "$$prev" "$$new"; \
+	  status=$$?; \
+	  if [ $$status -eq 2 ]; then \
+	    echo "no BENCH record of this configuration; timings not compared"; \
+	  elif [ $$status -ne 0 ]; then exit $$status; fi; \
 	else \
 	  echo "no previous BENCH record; skipping perf compare"; \
 	fi

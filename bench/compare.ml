@@ -4,17 +4,24 @@
      dune exec bench/compare.exe -- OLD.json NEW.json [--threshold F]
 
    Prints per-benchmark deltas for both sections (stage-1 wall-clock
-   and stage-2 ns/call) and exits non-zero if any benchmark got slower
-   by more than the threshold fraction (default 0.25, i.e. +25%).
-   Entries present in only one record are listed but never flagged —
-   adding or retiring a benchmark is not a regression.  All the parsing
-   and delta logic lives in Dm_bench_record.Record so the test suite
-   can exercise it on fixture records. *)
+   and stage-2 ns/call).  Entries present in only one record are
+   listed; only the removal of a critical key is flagged.  Exit
+   status:
+
+     0  no regression;
+     1  a benchmark got slower by more than the threshold fraction
+        (default 0.25, i.e. +25%), or a critical key was removed;
+     2  no regression, but the records were taken at a different
+        scale, jobs or core count, so their timings were not compared;
+     3  bad arguments or an unreadable record.
+
+   All the parsing and delta logic lives in Dm_bench_record.Record so
+   the test suite can exercise it on fixture records. *)
 
 module Record = Dm_bench_record.Record
 
 let fatal fmt =
-  Printf.ksprintf (fun s -> prerr_endline ("compare: " ^ s); exit 2) fmt
+  Printf.ksprintf (fun s -> prerr_endline ("compare: " ^ s); exit 3) fmt
 
 let () =
   let threshold = ref 0.25 in
@@ -45,5 +52,11 @@ let () =
   if total > 0 then begin
     Format.fprintf ppf "@.%d benchmark(s) regressed past the threshold@." total;
     exit 1
+  end
+  else if Record.config_differences old_rec new_rec <> [] then begin
+    Format.fprintf ppf
+      "@.no removed critical keys; timings not compared (configurations \
+       differ)@.";
+    exit 2
   end
   else Format.fprintf ppf "@.no regressions@."

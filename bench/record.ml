@@ -152,6 +152,9 @@ let parse_json src =
 
 type record = {
   stamp : string;
+  scale : float option;
+  jobs : int option;
+  cores : int option;
   stage1 : (string * float) list;
   stage2 : (string * float option) list;
 }
@@ -169,6 +172,10 @@ let of_string ?(path = "<string>") src =
           let stamp =
             match member "stamp" root with Some (Str s) -> s | _ -> "?"
           in
+          let num key =
+            match member key root with Some (Num f) -> Some f | _ -> None
+          in
+          let int key = Option.map int_of_float (num key) in
           let entries key name_field value_of =
             match member key root with
             | Some (Arr items) ->
@@ -183,6 +190,9 @@ let of_string ?(path = "<string>") src =
           Ok
             {
               stamp;
+              scale = num "scale";
+              jobs = int "jobs";
+              cores = int "cores";
               stage1 =
                 entries "stage1_wall_clock_s" "artifact" (fun item ->
                     match member "seconds" item with
@@ -219,8 +229,22 @@ let is_critical name =
       && String.sub name 0 (String.length p) = p)
     critical_prefixes
 
+(* A field missing from either record (older emitters wrote no
+   [cores]) cannot tell the two apart, so only fields both carry are
+   compared. *)
+let config_differences a b =
+  let field name show x y =
+    match (x, y) with
+    | Some x, Some y when x <> y ->
+        [ Printf.sprintf "%s %s vs %s" name (show x) (show y) ]
+    | _ -> []
+  in
+  field "scale" (Printf.sprintf "%g") a.scale b.scale
+  @ field "jobs" string_of_int a.jobs b.jobs
+  @ field "cores" string_of_int a.cores b.cores
+
 let compare_section ppf ~title ~unit ~threshold ?(critical = fun _ -> false)
-    old_entries new_entries =
+    ?(timings = true) old_entries new_entries =
   let regressions = ref 0 in
   (* One-sided keys (absent on one record, or measured as null) render a
      stable "n/a" in every affected column, so diffs of diffs stay
@@ -250,7 +274,7 @@ let compare_section ppf ~title ~unit ~threshold ?(critical = fun _ -> false)
           | Some _, _ -> ("n/a", "n/a")
         in
         [ name; fmt_value (Option.join ov); fmt_value nv; delta; verdict ])
-      new_entries
+      (if timings then new_entries else [])
   in
   let removed =
     List.filter_map
@@ -281,14 +305,26 @@ let compare_records ppf ~threshold old_rec new_rec =
   Format.fprintf ppf "comparing %s (old) vs %s (new), threshold %+.0f%%@."
     old_rec.stamp new_rec.stamp
     (100. *. threshold);
+  (* Timings taken at another scale, pool size or core count say
+     nothing about the code; a removed critical key still does. *)
+  let timings =
+    match config_differences old_rec new_rec with
+    | [] -> true
+    | diffs ->
+        Format.fprintf ppf
+          "configurations differ (%s): timings not compared, only removed \
+           keys listed@."
+          (String.concat ", " diffs);
+        false
+  in
   let r1 =
     compare_section ppf ~title:"stage 1: experiment wall-clock" ~unit:"s"
-      ~threshold
+      ~threshold ~timings
       (List.map (fun (n, v) -> (n, Some v)) old_rec.stage1)
       (List.map (fun (n, v) -> (n, Some v)) new_rec.stage1)
   in
   let r2 =
     compare_section ppf ~title:"stage 2: kernel ns/call" ~unit:"ns" ~threshold
-      ~critical:is_critical old_rec.stage2 new_rec.stage2
+      ~timings ~critical:is_critical old_rec.stage2 new_rec.stage2
   in
   r1 + r2

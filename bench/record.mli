@@ -17,6 +17,11 @@ val parse_json : string -> (json, string) result
 
 type record = {
   stamp : string;
+  scale : float option;  (** [BENCH_SCALE] of the run *)
+  jobs : int option;  (** pool size after clamping to [cores] *)
+  cores : int option;
+      (** [Domain.recommended_domain_count] at run time; [None] in
+          records written before the emitter recorded it *)
   stage1 : (string * float) list;  (** artifact, wall-clock seconds *)
   stage2 : (string * float option) list;
       (** benchmark, ns/call; [None] when the estimator yielded none *)
@@ -43,12 +48,19 @@ val critical_prefixes : string list
 val is_critical : string -> bool
 (** Whether a stage-2 benchmark name matches {!critical_prefixes}. *)
 
+val config_differences : record -> record -> string list
+(** One line per configuration field ([scale], [jobs], [cores]) that
+    both records carry with different values; a field missing from
+    either record is not compared.  Timings are comparable only when
+    the list is empty. *)
+
 val compare_section :
   Format.formatter ->
   title:string ->
   unit:string ->
   threshold:float ->
   ?critical:(string -> bool) ->
+  ?timings:bool ->
   (string * float option) list ->
   (string * float option) list ->
   int
@@ -59,10 +71,16 @@ val compare_section :
     as regressions iff [critical] (default: never) accepts their
     name.  Every column that has no measurement to show — a one-sided
     key, or a null estimate on either record — renders a stable
-    ["n/a"], never a number. *)
+    ["n/a"], never a number.  With [~timings:false] (default [true])
+    only the removed entries are listed and counted: the rows of keys
+    present in the new record, and their threshold checks, are
+    skipped. *)
 
 val compare_records :
   Format.formatter -> threshold:float -> record -> record -> int
 (** Both sections of two records plus the header line; returns the
-    total regression count (the exit status of [compare.exe] is
-    non-zero iff it is positive). *)
+    total regression count.  When the records' configurations differ
+    ({!config_differences} is not empty) it says so, skips every
+    timing row and counts only removed critical keys.  [compare.exe]
+    exits 1 when the count is positive, otherwise 2 when the
+    configurations differ, otherwise 0. *)

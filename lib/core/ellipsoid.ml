@@ -51,23 +51,36 @@ let make ~center ~shape =
   let r, c = Mat.dims shape in
   if r <> n || c <> n then invalid_arg "Ellipsoid.make: dimension mismatch";
   if n < 1 then invalid_arg "Ellipsoid.make: empty dimension";
-  (* Exact, not approximate: the sparse cut reads M·x as Mᵀ·x, which has
-     M·x's bits only while M(i, j) and M(j, i) agree bit for bit (a ±0
-     pair counts as equal, which both kernels absorb exactly).  [ball]
-     starts symmetric and both rank-one kernels and the scale fold keep
-     it so. *)
-  if not (Mat.is_symmetric ~tol:0. shape) then
-    invalid_arg "Ellipsoid.make: shape not symmetric";
-  let ok_diag = ref true in
   for i = 0 to n - 1 do
-    if Mat.get shape i i <= 0. then ok_diag := false
+    if not (Float.is_finite center.(i)) then
+      invalid_arg "Ellipsoid.make: non-finite center entry"
   done;
-  if not !ok_diag then
-    invalid_arg "Ellipsoid.make: shape has a non-positive diagonal";
+  (* Symmetry is exact, not approximate: the sparse cut reads M·x as
+     Mᵀ·x, which has M·x's bits only while M(i, j) and M(j, i) agree
+     bit for bit (a ±0 pair counts as equal, which both kernels absorb
+     exactly).  [ball] starts symmetric and both rank-one kernels and
+     the scale fold keep it so.  The same pass refuses non-finite
+     entries: a NaN answers false to every comparison, so it would
+     pass the symmetry and diagonal tests. *)
+  let data = shape.Mat.data in
+  for i = 0 to n - 1 do
+    let d = data.((i * n) + i) in
+    if not (Float.is_finite d) then
+      invalid_arg "Ellipsoid.make: non-finite shape entry";
+    if not (d > 0.) then
+      invalid_arg "Ellipsoid.make: shape has a non-positive diagonal";
+    for j = i + 1 to n - 1 do
+      let a = data.((i * n) + j) and b = data.((j * n) + i) in
+      if not (Float.is_finite a && Float.is_finite b) then
+        invalid_arg "Ellipsoid.make: non-finite shape entry";
+      if a <> b then invalid_arg "Ellipsoid.make: shape not symmetric"
+    done
+  done;
   { dim = n; center; shape; scale = 1.; log_vol = Float.nan; cuts_since_sync = 0 }
 
 let ball ~dim ~radius =
-  if radius <= 0. then invalid_arg "Ellipsoid.ball: radius must be positive";
+  if not (radius > 0.) then
+    invalid_arg "Ellipsoid.ball: radius must be positive";
   let t =
     make ~center:(Vec.zeros dim)
       ~shape:(Mat.scaled_identity dim (radius *. radius))
@@ -163,27 +176,36 @@ let check_b_into ~x b =
    taken when the caller permits in-place mutation ([mutate]) and the
    cut direction is sparse enough to pay. *)
 let cut_below_dense ?into ?b_into ?center_into t ~x ~price =
-  let { mid; half_width; _ } = bounds t ~x in
-  if half_width <= 0. then Too_shallow
+  (* M·x first, then xᵀMx read from it: Σ over xᵢ ≠ 0 of xᵢ·(M·x)ᵢ in
+     ascending i is the pooled [Mat.quad]'s reduction, bit-identical to
+     [bounds]'s quadratic form, so one O(n²) pass serves both.  The
+     scratch buffer, when given, holds a transient the caller may
+     recycle every cut: [b] is consumed by the rank-one update below
+     and never retained by the returned ellipsoid. *)
+  let b =
+    match b_into with
+    | None -> Mat.matvec t.shape x
+    | Some b ->
+        check_b_into ~x b;
+        Mat.matvec ~into:b t.shape x
+  in
+  let qm = ref 0. in
+  for i = 0 to t.dim - 1 do
+    let xi = Array.unsafe_get x i in
+    if xi <> 0. then qm := !qm +. (xi *. Array.unsafe_get b i)
+  done;
+  let q = t.scale *. !qm in
+  if q <= 0. then Too_shallow
   else begin
+    let half_width = sqrt q in
+    let mid = Vec.dot x t.center in
     let n = float_of_int t.dim in
     let alpha = (mid -. price) /. half_width in
     if alpha >= 1. then Empty
     else if alpha <= -1. /. n then Too_shallow
     else begin
-      (* b = A·x / √(xᵀAx) = scale·(M·x) / √(xᵀAx).  The scratch
-         buffer, when given, holds a transient the caller may recycle
-         every cut: [b] is consumed by the rank-one update below and
-         never retained by the returned ellipsoid. *)
-      let b =
-        match b_into with
-        | None -> Vec.scale (t.scale /. half_width) (Mat.matvec t.shape x)
-        | Some b ->
-            check_b_into ~x b;
-            ignore (Mat.matvec ~into:b t.shape x);
-            Vec.scale_inplace (t.scale /. half_width) b;
-            b
-      in
+      (* b = A·x / √(xᵀAx) = scale·(M·x) / √(xᵀAx). *)
+      Vec.scale_inplace (t.scale /. half_width) b;
       let center = new_center ?center_into t ~b in
       Vec.axpy (-.(1. +. (n *. alpha)) /. (n +. 1.)) b center;
       let shape, dlog =
@@ -380,9 +402,8 @@ let deserialize text =
         fail "line %d (%s): malformed float literal at field %d" line_no what
           (i + 1)
     | None ->
-        (* NaN slips through [make]'s symmetry and positive-diagonal
-           checks (every NaN comparison is false), so finiteness must
-           be rejected here. *)
+        (* [make] refuses non-finite entries too; checking here names
+           the offending field. *)
         let a = Array.of_list (List.map Option.get parts) in
         (match Array.find_index (fun v -> not (Float.is_finite v)) a with
         | Some i ->

@@ -47,12 +47,15 @@ val make : center:Dm_linalg.Vec.t -> shape:Dm_linalg.Mat.t -> t
     [Invalid_argument] is raised.  The sparse cut computes [M·x] as
     [Mᵀ·x] and relies on it; every shape this module produces keeps it
     ({!ball}, both cut paths and the scale fold), so only a foreign or
-    corrupted shape can fail.  Positive definiteness is the caller's
-    responsibility (checked cheaply via the diagonal). *)
+    corrupted shape can fail.  A non-finite center or shape entry
+    (NaN included) raises [Invalid_argument] too, checked in the same
+    pass.  Positive definiteness is the caller's responsibility
+    (checked cheaply via the diagonal). *)
 
 val ball : dim:int -> radius:float -> t
 (** The initial knowledge set of Algorithms 1–2:
-    [A₁ = R²·I, c₁ = 0].  Requires [radius > 0]. *)
+    [A₁ = R²·I, c₁ = 0].  Requires [radius > 0] (NaN is refused) and
+    a finite [R²]. *)
 
 val of_box : lo:Dm_linalg.Vec.t -> hi:Dm_linalg.Vec.t -> t
 (** The paper's enclosing ball of the initial box

@@ -928,7 +928,12 @@ let restore text =
   else restore_text text
 
 let te_upper_bound ~radius ~feature_bound ~dim ~epsilon =
-  if radius <= 0. || feature_bound <= 0. || dim < 1 || epsilon <= 0. then
+  if
+    (not (radius > 0.))
+    || (not (feature_bound > 0.))
+    || dim < 1
+    || not (epsilon > 0.)
+  then
     invalid_arg "Mechanism.te_upper_bound: invalid parameters";
   let n = float_of_int dim in
   20. *. n *. n

@@ -296,7 +296,8 @@ val skipped_rounds : t -> int
 
 val te_upper_bound : radius:float -> feature_bound:float -> dim:int -> epsilon:float -> float
 (** The Lemma 6/7 bound [20n²·log(20·R·S²·(n+1)/ε)] on exploratory
-    rounds. *)
+    rounds.  Raises [Invalid_argument] unless [radius], [feature_bound]
+    and [epsilon] are positive (NaN is refused) and [dim ≥ 1]. *)
 
 val snapshot : t -> string
 (** Text snapshot of the full mechanism state — configuration,

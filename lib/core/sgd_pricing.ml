@@ -12,10 +12,10 @@ type t = {
 let create ?(learning_rate = 5.) ?(margin = 0.3) ?(use_reserve = true) ~dim
     ~radius () =
   if dim < 1 then invalid_arg "Sgd_pricing.create: dim must be >= 1";
-  if radius <= 0. then invalid_arg "Sgd_pricing.create: radius must be > 0";
-  if learning_rate <= 0. then
+  if not (radius > 0.) then invalid_arg "Sgd_pricing.create: radius must be > 0";
+  if not (learning_rate > 0.) then
     invalid_arg "Sgd_pricing.create: learning rate must be > 0";
-  if margin < 0. then invalid_arg "Sgd_pricing.create: negative margin";
+  if not (margin >= 0.) then invalid_arg "Sgd_pricing.create: negative margin";
   { theta = Vec.zeros dim; radius; learning_rate; margin; use_reserve; t = 0 }
 
 let estimate s = Vec.copy s.theta

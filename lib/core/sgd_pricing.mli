@@ -36,7 +36,10 @@ val create :
     [learning_rate] (default 5, tuned on the App-1 market so the
     baseline is not a strawman) scales the [η₀/√t] step;
     [margin] (default 0.3) scales the [t^{−1/3}] exploration discount;
-    [use_reserve] (default true) floors posted prices at the reserve. *)
+    [use_reserve] (default true) floors posted prices at the reserve.
+    Raises [Invalid_argument] unless [dim ≥ 1], [radius] and
+    [learning_rate] are positive and [margin] is non-negative (NaN is
+    refused for each). *)
 
 val estimate : t -> Dm_linalg.Vec.t
 (** The current weight estimate (a copy). *)

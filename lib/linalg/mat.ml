@@ -129,12 +129,57 @@ let over_range ~gate ~chunk n body =
 let over_rows n body =
   over_range ~gate:(n >= parallel_threshold) ~chunk:row_chunk n body
 
+(* The dot-per-row kernels ([matvec], [project], [quad], [matmul_tt])
+   run [row_block] rows per pass: each row keeps its own accumulator
+   and the rows share one load of x[j].  A row still adds its terms
+   one at a time, in ascending j, to its own accumulator — exactly the
+   one-row loop's order — so blocking changes no bits.  It only
+   interleaves independent add chains, where one row alone waits on
+   the latency of every add before it.  Rows left over after the last
+   full block run one at a time.  The blocked loops below are written
+   out for exactly four rows. *)
+let row_block = 4
+
 (* Row-fan-out chunk for the tall-skinny kernels: with only k ≪ 512
    rows the standard [row_chunk] would put the whole matrix in one
-   task, so shrink the chunk until roughly 16 tasks exist.  The chunk
-   size never affects output bits — only which worker computes which
-   rows. *)
-let fan_chunk rows = max 1 (min row_chunk ((rows + 15) / 16))
+   task, so shrink the chunk until roughly 16 tasks exist, rounded up
+   to whole [row_block]s so that pooled tasks run the blocked loop
+   too.  The chunk size never affects output bits — only which worker
+   computes which rows. *)
+let fan_chunk rows =
+  let c = max 1 (min row_chunk ((rows + 15) / 16)) in
+  (c + row_block - 1) / row_block * row_block
+
+(* y[yo + r·ys] ← Σⱼ data[base + r·len + j]·x[xo + j], j ascending, for
+   the four consecutive rows r = 0..3 of length [len]. *)
+let dot4_into data base len x xo y yo ys =
+  let b1 = base + len in
+  let b2 = b1 + len in
+  let b3 = b2 + len in
+  let a0 = ref 0. in
+  let a1 = ref 0. in
+  let a2 = ref 0. in
+  let a3 = ref 0. in
+  for j = 0 to len - 1 do
+    let xj = Array.unsafe_get x (xo + j) in
+    a0 := !a0 +. (Array.unsafe_get data (base + j) *. xj);
+    a1 := !a1 +. (Array.unsafe_get data (b1 + j) *. xj);
+    a2 := !a2 +. (Array.unsafe_get data (b2 + j) *. xj);
+    a3 := !a3 +. (Array.unsafe_get data (b3 + j) *. xj)
+  done;
+  Array.unsafe_set y yo !a0;
+  Array.unsafe_set y (yo + ys) !a1;
+  Array.unsafe_set y (yo + (2 * ys)) !a2;
+  Array.unsafe_set y (yo + (3 * ys)) !a3
+
+(* The one-row remainder of [dot4_into]. *)
+let dot_into data base len x xo y yo =
+  let acc = ref 0. in
+  for j = 0 to len - 1 do
+    acc :=
+      !acc +. (Array.unsafe_get data (base + j) *. Array.unsafe_get x (xo + j))
+  done;
+  Array.unsafe_set y yo !acc
 
 (* Indices of the nonzero entries of [x], or [None] when [x] is dense
    enough that gathering would not pay.  Skipping an exactly-zero term
@@ -162,8 +207,9 @@ let sparse_support x =
 
 (* Shared P·x body: each output row reduces in ascending column order
    (over the sparse support or all columns — exact either way, see
-   [sparse_support]), so any [gate]/[chunk] yields the same bits.  [y]
-   is fully overwritten; no pre-zeroing needed. *)
+   [sparse_support]), [row_block] rows per pass, so any [gate]/[chunk]
+   yields the same bits.  [y] is fully overwritten; no pre-zeroing
+   needed. *)
 let matvec_into ~gate ~chunk y m x =
   let data = m.data in
   let cols = m.cols in
@@ -171,7 +217,31 @@ let matvec_into ~gate ~chunk y m x =
   | Some idx ->
       let nnz = Array.length idx in
       over_range ~gate ~chunk m.rows (fun lo hi ->
-          for i = lo to hi - 1 do
+          let i = ref lo in
+          while !i + row_block <= hi do
+            let b0 = !i * cols in
+            let b1 = b0 + cols in
+            let b2 = b1 + cols in
+            let b3 = b2 + cols in
+            let a0 = ref 0. in
+            let a1 = ref 0. in
+            let a2 = ref 0. in
+            let a3 = ref 0. in
+            for k = 0 to nnz - 1 do
+              let j = Array.unsafe_get idx k in
+              let xj = Array.unsafe_get x j in
+              a0 := !a0 +. (Array.unsafe_get data (b0 + j) *. xj);
+              a1 := !a1 +. (Array.unsafe_get data (b1 + j) *. xj);
+              a2 := !a2 +. (Array.unsafe_get data (b2 + j) *. xj);
+              a3 := !a3 +. (Array.unsafe_get data (b3 + j) *. xj)
+            done;
+            Array.unsafe_set y !i !a0;
+            Array.unsafe_set y (!i + 1) !a1;
+            Array.unsafe_set y (!i + 2) !a2;
+            Array.unsafe_set y (!i + 3) !a3;
+            i := !i + row_block
+          done;
+          for i = !i to hi - 1 do
             let base = i * cols in
             let acc = ref 0. in
             for k = 0 to nnz - 1 do
@@ -184,15 +254,13 @@ let matvec_into ~gate ~chunk y m x =
           done)
   | None ->
       over_range ~gate ~chunk m.rows (fun lo hi ->
-          for i = lo to hi - 1 do
-            let base = i * cols in
-            let acc = ref 0. in
-            for j = 0 to cols - 1 do
-              acc :=
-                !acc
-                +. (Array.unsafe_get data (base + j) *. Array.unsafe_get x j)
-            done;
-            Array.unsafe_set y i !acc
+          let i = ref lo in
+          while !i + row_block <= hi do
+            dot4_into data (!i * cols) cols x 0 y !i 1;
+            i := !i + row_block
+          done;
+          for i = !i to hi - 1 do
+            dot_into data (i * cols) cols x 0 y i
           done)
 
 let matvec ?into m x =
@@ -277,19 +345,21 @@ let project_batch ?into ~pt xs =
      re-stream the u panel once per Pᵀ tile), a [row_chunk]-row tile of
      Pᵀ is reused across every panel row of the block (the [matmul]
      body shape), and the shared dimension is register-blocked eight
-     wide, so each u[i,j] load/store round-trip covers eight
-     independent FMAs — throughput-bound, where the dot-per-element
-     form ([matmul_tt], {!project}) is bound by the latency of one
-     serial accumulator.  Each u[i,j] still reduces over l ascending
-     (tiles ascend, the eight-wide sums are left-associated, l ascends
-     within and across blocks), i.e. the same term sequence as
-     {!project}'s row reduction with the factors commuted — float
-     multiplication is exactly commutative.  A block all of whose x[l]
-     are ±0 is skipped, and a partially-zero block keeps its ±0 terms:
-     both are exact, by the [sparse_support] argument (the accumulator
-     starts at +0 and can never round to −0, so adding a ±0 term never
-     changes its bits) — so row i is bit-identical to [project p vs.(i)]
-     at any worker count and any batch size. *)
+     wide, so each u[i,j] load/store round-trip covers eight FMAs and
+     the k chains u[i,0..k−1] are independent — throughput-bound.  The
+     dot-per-row form ({!project}) interleaves only [row_block] chains
+     but packs nothing: at k = 32, n = 4096 the two measured about even
+     per row (EXPERIMENTS.md §"Four rows per pass").  Each u[i,j] still
+     reduces over l ascending (tiles ascend, the eight-wide sums are
+     left-associated, l ascends within and across blocks), i.e. the
+     same term sequence as {!project}'s row reduction with the factors
+     commuted — float multiplication is exactly commutative.  A block
+     all of whose x[l] are ±0 is skipped, and a partially-zero block
+     keeps its ±0 terms: both are exact, by the [sparse_support]
+     argument (the accumulator starts at +0 and can never round to −0,
+     so adding a ±0 term never changes its bits) — so row i is
+     bit-identical to [project p vs.(i)] at any worker count and any
+     batch size. *)
   over_range
     ~gate:(b >= parallel_threshold || n >= parallel_threshold)
     ~chunk:(fan_chunk b) b
@@ -481,27 +551,27 @@ let matmul_tt a b =
   let adata = a.data and bdata = b.data and cdata = c.data in
   (* c[i,j] = ⟨row i of a, row j of b⟩: both operands stream
      contiguously, and each output element is one ascending-index dot
-     product — the fan-out over rows of [a] never changes the bits.
-     The gate fires on either dimension of [a]: tall-skinny batches
-     (few rows, n ≥ 512 shared dimension) and tall sample matrices
-     (rows ≥ 512) both carry enough flops. *)
+     product, [row_block] rows of [a] per pass against one row of [b]
+     — neither the blocking nor the fan-out over rows of [a] changes
+     the bits.  The gate fires on either dimension of [a]: tall-skinny
+     batches (few rows, n ≥ 512 shared dimension) and tall sample
+     matrices (rows ≥ 512) both carry enough flops. *)
   over_range
     ~gate:(a.rows >= parallel_threshold || a.cols >= parallel_threshold)
     ~chunk:(fan_chunk a.rows) a.rows
     (fun ilo ihi ->
-      for i = ilo to ihi - 1 do
-        let abase = i * n in
-        let cbase = i * q in
+      let i = ref ilo in
+      while !i + row_block <= ihi do
+        let abase = !i * n and cbase = !i * q in
         for j = 0 to q - 1 do
-          let bbase = j * n in
-          let acc = ref 0. in
-          for l = 0 to n - 1 do
-            acc :=
-              !acc
-              +. (Array.unsafe_get adata (abase + l)
-                 *. Array.unsafe_get bdata (bbase + l))
-          done;
-          Array.unsafe_set cdata (cbase + j) !acc
+          dot4_into adata abase n bdata (j * n) cdata (cbase + j) q
+        done;
+        i := !i + row_block
+      done;
+      for i = !i to ihi - 1 do
+        let abase = i * n and cbase = i * q in
+        for j = 0 to q - 1 do
+          dot_into adata abase n bdata (j * n) cdata (cbase + j)
         done
       done);
   c
@@ -596,6 +666,12 @@ let rank_one_rescale ?into m ~beta ~b ~factor =
       done);
   dst
 
+(* The first index j ≥ i with x[j] ≠ 0, or [n] when there is none. *)
+let rec next_nonzero x i n =
+  if i >= n then n
+  else if Array.unsafe_get x i <> 0. then i
+  else next_nonzero x (i + 1) n
+
 let quad m x =
   if m.rows <> m.cols || Array.length x <> m.rows then
     invalid_arg "Mat.quad: dimension mismatch";
@@ -620,20 +696,51 @@ let quad m x =
     !acc
   end
   else begin
+    (* Rows with xᵢ = 0 are skipped; the next four rows with xᵢ ≠ 0
+       form a block whose row sums share one pass over x, and the
+       block adds xᵢ·(row sum) to [acc] in ascending i — the same
+       additions, in the same order, as one row at a time.  Every sum
+       lives in a local float, so the pass allocates nothing. *)
     let data = m.data in
     let acc = ref 0. in
-    for i = 0 to n - 1 do
-      let xi = Array.unsafe_get x i in
-      if xi <> 0. then begin
-        let base = i * n in
-        let rowacc = ref 0. in
+    let i = ref (next_nonzero x 0 n) in
+    let blocks = ref true in
+    while !blocks do
+      let i0 = !i in
+      let i1 = next_nonzero x (i0 + 1) n in
+      let i2 = next_nonzero x (i1 + 1) n in
+      let i3 = next_nonzero x (i2 + 1) n in
+      if i3 < n then begin
+        let b0 = i0 * n and b1 = i1 * n and b2 = i2 * n and b3 = i3 * n in
+        let r0 = ref 0. in
+        let r1 = ref 0. in
+        let r2 = ref 0. in
+        let r3 = ref 0. in
         for j = 0 to n - 1 do
-          rowacc :=
-            !rowacc
-            +. (Array.unsafe_get data (base + j) *. Array.unsafe_get x j)
+          let xj = Array.unsafe_get x j in
+          r0 := !r0 +. (Array.unsafe_get data (b0 + j) *. xj);
+          r1 := !r1 +. (Array.unsafe_get data (b1 + j) *. xj);
+          r2 := !r2 +. (Array.unsafe_get data (b2 + j) *. xj);
+          r3 := !r3 +. (Array.unsafe_get data (b3 + j) *. xj)
         done;
-        acc := !acc +. (xi *. !rowacc)
+        acc := !acc +. (Array.unsafe_get x i0 *. !r0);
+        acc := !acc +. (Array.unsafe_get x i1 *. !r1);
+        acc := !acc +. (Array.unsafe_get x i2 *. !r2);
+        acc := !acc +. (Array.unsafe_get x i3 *. !r3);
+        i := next_nonzero x (i3 + 1) n
       end
+      else blocks := false
+    done;
+    (* Fewer than four rows with xᵢ ≠ 0 are left. *)
+    while !i < n do
+      let base = !i * n in
+      let rowacc = ref 0. in
+      for j = 0 to n - 1 do
+        rowacc :=
+          !rowacc +. (Array.unsafe_get data (base + j) *. Array.unsafe_get x j)
+      done;
+      acc := !acc +. (Array.unsafe_get x !i *. !rowacc);
+      i := next_nonzero x (!i + 1) n
     done;
     !acc
   end

@@ -10,7 +10,11 @@
     when one is installed (serial fallback below the threshold or
     without a pool).  Every output element is reduced in a fixed
     serial order regardless of scheduling, so results are
-    bit-identical at any worker count. *)
+    bit-identical at any worker count.  The dot-per-row kernels
+    ([matvec], [project], [quad], [matmul_tt]) compute four rows per
+    pass, each row with its own accumulator: that interleaves four
+    independent add chains and never splits or reorders one row's
+    sum. *)
 
 type t = private { rows : int; cols : int; data : float array }
 (** [data.(i*cols + j)] holds element (i, j). *)
@@ -71,8 +75,11 @@ val scale : float -> t -> t
 val scale_inplace : float -> t -> unit
 
 val matvec : ?into:Vec.t -> t -> Vec.t -> Vec.t
-(** [matvec a x] is [A·x].  [into], when given, receives the result
-    (length [rows a], must not alias [x]). *)
+(** [matvec a x] is [A·x].  Each row is one ascending-index dot
+    product, four rows per pass sharing each load of [x[j]] (leftover
+    rows one at a time), so the bits equal the one-row loop's.
+    [into], when given, receives the result (length [rows a], must not
+    alias [x]). *)
 
 val matvec_t : ?into:Vec.t -> t -> Vec.t -> Vec.t
 (** [matvec_t a x] is [Aᵀ·x], without materializing the transpose.
@@ -93,12 +100,13 @@ val matvec_t : ?into:Vec.t -> t -> Vec.t -> Vec.t
 
 val project : ?into:Vec.t -> t -> Vec.t -> Vec.t
 (** [project p x] is [P·x] for a tall-skinny [k×n] projection matrix —
-    the same per-row ascending-column reduction as {!matvec} (so the
-    two agree bit-for-bit on the same input), but with the pool gate
-    firing on {e either} dimension: a [k ≪ 512] row batch still fans
-    out once [n ≥ 512], which is where the rank-k projected pricing
-    path spends its per-round flops.  [into], when given, receives the
-    result (length [k], must not alias [x]). *)
+    the same four-rows-per-pass, per-row ascending-column reduction as
+    {!matvec} (so the two agree bit-for-bit on the same input), but
+    with the pool gate firing on {e either} dimension: a [k ≪ 512] row
+    batch still fans out once [n ≥ 512], in chunks of a multiple of
+    four rows, which is where the rank-k projected pricing path spends
+    its per-round flops.  [into], when given, receives the result
+    (length [k], must not alias [x]). *)
 
 val pack_rows : ?into:t -> Vec.t array -> t
 (** [pack_rows vs] gathers [B ≥ 1] same-length vectors into the [B×n]
@@ -138,9 +146,10 @@ val matmul_tt : t -> t -> t
     tall-skinny batch product where both operands share the long
     dimension [n] and stream contiguously row-major (no transpose is
     materialized).  Each output element is one ascending-index dot
-    product, fanned over rows of [a] through the default {!Pool} when
-    either dimension of [a] reaches 512, so results are bit-identical
-    at any worker count. *)
+    product; four rows of [a] run per pass against one row of [b],
+    each with its own accumulator.  Rows of [a] fan out through the
+    default {!Pool} when either dimension of [a] reaches 512, so
+    results are bit-identical at any worker count. *)
 
 val quad_sparse : t -> Vec.Sparse.t -> float
 (** [quad_sparse a sx] is the quadratic form [xᵀ·A·x] over the
@@ -186,7 +195,11 @@ val rank_one_rescale :
 
 val quad : t -> Vec.t -> float
 (** [quad a x] is the quadratic form [xᵀ·A·x], computed in a single
-    pass without allocating [A·x]. *)
+    pass without allocating [A·x]: rows with [xᵢ = 0] are skipped, the
+    next four rows with [xᵢ ≠ 0] share one pass over [x], and their
+    [xᵢ·(row sum)] terms are added in ascending [i] — the same sum, bit
+    for bit, as one row at a time.  At [n ≥ 512] with a pool installed
+    it is [matvec] over the pool, then the same ascending dot. *)
 
 val symmetrize_inplace : t -> unit
 (** [A := (A + Aᵀ)/2]; used to contain floating-point drift in shape

@@ -227,6 +227,90 @@ let test_one_sided_renders_na () =
   check_int "critical serve removal flags" 1 total;
   check_bool "removal renders n/a" true (contains out "n/a")
 
+(* A record at one configuration: one stage-1 artifact, one timing
+   kernel and, with [~critical:true], one critical stage-2 key. *)
+let config_fixture ~stamp ~scale ~jobs ~cores ~fig4 ~matvec ~critical =
+  Printf.sprintf
+    {|{ "schema": "dm-bench/1", "stamp": "%s",
+        "scale": %g, "jobs": %d, "jobs_requested": %d, "cores": %d,
+        "stage1_wall_clock_s": [ { "artifact": "fig4", "seconds": %g } ],
+        "stage2_ns_per_call": [
+          { "benchmark": "kernel matvec n1024", "ns": %g }%s ] }|}
+    stamp scale jobs jobs cores fig4 matvec
+    (if critical then
+       {|, { "benchmark": "pricing/sparse_cut n1024 nnz23", "ns": 5e4 }|}
+     else "")
+
+let test_same_config_compared () =
+  let old_rec =
+    parse_exn
+      (config_fixture ~stamp:"old" ~scale:0.01 ~jobs:2 ~cores:2 ~fig4:1.0
+         ~matvec:800. ~critical:true)
+  in
+  let new_rec =
+    parse_exn
+      (config_fixture ~stamp:"new" ~scale:0.01 ~jobs:2 ~cores:2 ~fig4:1.0
+         ~matvec:1200. ~critical:true)
+  in
+  check_bool "fields parsed" true
+    (old_rec.Record.scale = Some 0.01
+    && old_rec.Record.jobs = Some 2
+    && old_rec.Record.cores = Some 2);
+  check_bool "same configuration" true
+    (Record.config_differences old_rec new_rec = []);
+  let total, out =
+    render (fun ppf -> Record.compare_records ppf ~threshold:0.25 old_rec new_rec)
+  in
+  check_int "the +50% kernel is flagged" 1 total;
+  check_bool "no mismatch notice" false (contains out "configurations differ");
+  (* A field only one record carries cannot tell them apart. *)
+  let no_cores =
+    parse_exn
+      {|{ "schema": "dm-bench/1", "stamp": "older", "scale": 0.01, "jobs": 2,
+          "stage1_wall_clock_s": [], "stage2_ns_per_call": [] }|}
+  in
+  check_bool "missing cores not compared" true
+    (Record.config_differences no_cores new_rec = [])
+
+let test_config_mismatch_skips_timings () =
+  (* The committed record's configuration against make ci's smoke, with
+     every timing ten times slower: nothing is flagged. *)
+  let old_rec =
+    parse_exn
+      (config_fixture ~stamp:"old" ~scale:0.02 ~jobs:1 ~cores:1 ~fig4:1.0
+         ~matvec:800. ~critical:true)
+  in
+  let new_rec =
+    parse_exn
+      (config_fixture ~stamp:"new" ~scale:0.01 ~jobs:2 ~cores:2 ~fig4:10.0
+         ~matvec:8000. ~critical:true)
+  in
+  check_int "scale, jobs and cores differ" 3
+    (List.length (Record.config_differences old_rec new_rec));
+  let total, out =
+    render (fun ppf -> Record.compare_records ppf ~threshold:0.25 old_rec new_rec)
+  in
+  check_int "10x timings not flagged" 0 total;
+  check_bool "mismatch notice" true (contains out "configurations differ");
+  check_bool "no timing rows" false (contains out "kernel matvec n1024")
+
+let test_config_mismatch_flags_removed_critical () =
+  let old_rec =
+    parse_exn
+      (config_fixture ~stamp:"old" ~scale:0.02 ~jobs:1 ~cores:1 ~fig4:1.0
+         ~matvec:800. ~critical:true)
+  in
+  let new_rec =
+    parse_exn
+      (config_fixture ~stamp:"new" ~scale:0.01 ~jobs:2 ~cores:2 ~fig4:1.0
+         ~matvec:800. ~critical:false)
+  in
+  let total, out =
+    render (fun ppf -> Record.compare_records ppf ~threshold:0.25 old_rec new_rec)
+  in
+  check_int "removed critical key flagged" 1 total;
+  check_bool "flagged as removed" true (contains out "REGRESSION (removed)")
+
 let () = Test_env.install_pool_from_env ()
 
 let () =
@@ -251,5 +335,11 @@ let () =
             test_null_kernel_never_flagged;
           Alcotest.test_case "one-sided keys render n/a" `Quick
             test_one_sided_renders_na;
+          Alcotest.test_case "same configuration compared" `Quick
+            test_same_config_compared;
+          Alcotest.test_case "configuration mismatch skips timings" `Quick
+            test_config_mismatch_skips_timings;
+          Alcotest.test_case "configuration mismatch flags removed critical"
+            `Quick test_config_mismatch_flags_removed_critical;
         ] );
     ]

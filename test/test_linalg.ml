@@ -483,10 +483,20 @@ let fill_vec ~sparse n seed =
       if sparse && (i + seed) mod 8 <> 0 then 0.
       else cos (float_of_int (((i * 13) + seed) mod 97)))
 
+(* Zeros at every i ≡ 1 (mod 3), so the rows [quad] takes as a block of
+   four with xᵢ ≠ 0 are not consecutive ({0, 2, 3, 5}, {6, 8, 9, 11},
+   …): some rows inside a block's span are skipped and others are not.
+   Dense enough (2/3) that [matvec] keeps its dense branch. *)
+let fill_vec_gappy n seed =
+  Array.init n (fun i ->
+      if i mod 3 = 1 then 0. else cos (float_of_int (((i * 13) + seed) mod 97)))
+
 let check_kernels_at n =
   let a = fill_mat n 1 in
   let b = fill_mat n 2 in
-  let xs = [ fill_vec ~sparse:false n 3; fill_vec ~sparse:true n 4 ] in
+  let xs =
+    [ fill_vec ~sparse:false n 3; fill_vec ~sparse:true n 4; fill_vec_gappy n 8 ]
+  in
   let v = fill_vec ~sparse:false n 5 in
   (* Serial references, computed with no pool installed. *)
   let mv_ref = List.map (naive_matvec a) xs in
@@ -521,7 +531,10 @@ let check_kernels_at n =
   check 1 ();
   List.iter (fun jobs -> with_default_pool jobs (check jobs)) [ 1; 2; 4 ]
 
-let test_kernels_small () = List.iter check_kernels_at [ 1; 2; 7; 40 ]
+(* Every row count from 1 to 9: zero to two four-row blocks, each
+   followed by zero to three leftover rows. *)
+let test_kernels_small () =
+  List.iter check_kernels_at [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 40 ]
 
 (* Straddle the n >= 512 pooling threshold: 511 stays serial (and is
    not a multiple of the 64-row chunk), 512 fans out over the pool. *)
@@ -659,7 +672,9 @@ let naive_matmul_tt a b =
 let check_projection_at (k, n) =
   let p = fill_rect k n 1 in
   let b = fill_rect (max 1 ((k / 2) + 1)) n 2 in
-  let xs = [ fill_vec ~sparse:false n 3; fill_vec ~sparse:true n 4 ] in
+  let xs =
+    [ fill_vec ~sparse:false n 3; fill_vec ~sparse:true n 4; fill_vec_gappy n 8 ]
+  in
   let y = fill_vec ~sparse:false k 5 in
   let sq = fill_rect n n 6 in
   let proj_ref = List.map (naive_project p) xs in
@@ -694,13 +709,19 @@ let check_projection_at (k, n) =
   List.iter (fun jobs -> with_default_pool jobs (check jobs)) [ 1; 2; 4 ]
 
 let test_projection_small () =
-  List.iter check_projection_at [ (1, 1); (2, 5); (3, 7); (8, 8); (5, 40) ]
+  List.iter check_projection_at [ (1, 1); (2, 5); (3, 7); (8, 8); (5, 40) ];
+  (* Every row count from 1 to 9 through the four-row blocks of
+     [project] and [matmul_tt]. *)
+  List.iter (fun k -> check_projection_at (k, 13)) [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
 
 (* Straddle the pooling gates: cols 511/512 (matvec_t, project_t and
    the either-dimension project gate) and rows 512 (project and the
    matmul_tt row fan-out). *)
 let test_projection_threshold () =
-  List.iter check_projection_at [ (3, 511); (3, 512); (512, 3); (96, 520) ]
+  List.iter check_projection_at [ (3, 511); (3, 512); (512, 3); (96, 520) ];
+  (* Pooled row chunks of four that end in a partial block: 9 rows in
+     chunks of 4, 4, 1 and 37 rows in nine chunks of 4 and one of 1. *)
+  List.iter check_projection_at [ (9, 512); (37, 520) ]
 
 let test_projection_validation () =
   let p = fill_rect 2 3 1 in

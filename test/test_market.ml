@@ -58,6 +58,27 @@ let test_ball () =
   check_float "mid" 0. b.Ellipsoid.mid;
   check_float "width" 4. (Ellipsoid.width e ~x:(Vec.basis 3 0))
 
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_ball_refuses_nan () =
+  check_bool "nan radius" true
+    (raises_invalid (fun () -> Ellipsoid.ball ~dim:2 ~radius:nan))
+
+let test_make_refuses_non_finite () =
+  let shape ~d ~a ~b = Mat.of_arrays [| [| d; a |]; [| b; 1. |] |] in
+  let make ?(center = Vec.zeros 2) shape () = Ellipsoid.make ~center ~shape in
+  check_bool "nan diagonal" true
+    (raises_invalid (make (shape ~d:nan ~a:0.5 ~b:0.5)));
+  check_bool "nan off-diagonal pair" true
+    (raises_invalid (make (shape ~d:1. ~a:nan ~b:nan)));
+  check_bool "infinite off-diagonal pair" true
+    (raises_invalid (make (shape ~d:1. ~a:infinity ~b:infinity)));
+  check_bool "nan center" true
+    (raises_invalid (make ~center:[| nan; 0. |] (Mat.identity 2)));
+  check_bool "finite input accepted" false
+    (raises_invalid (make (shape ~d:2. ~a:0.5 ~b:0.5)))
+
 let test_of_box () =
   (* K₁ = [−1,2] × [−3,1] → R = √(4 + 9) = √13. *)
   let e = Ellipsoid.of_box ~lo:[| -1.; -3. |] ~hi:[| 2.; 1. |] in
@@ -903,6 +924,16 @@ let test_mechanism_ellipsoid_escape () =
 let test_te_upper_bound () =
   let b = Mechanism.te_upper_bound ~radius:2. ~feature_bound:1. ~dim:5 ~epsilon:0.1 in
   check_float_loose "formula" (20. *. 25. *. log (20. *. 2. *. 1. *. 6. /. 0.1)) b
+
+let test_te_upper_bound_refuses_nan () =
+  let bound ?(radius = 2.) ?(feature_bound = 1.) ?(epsilon = 0.1) () =
+    Mechanism.te_upper_bound ~radius ~feature_bound ~dim:5 ~epsilon
+  in
+  check_bool "nan epsilon" true
+    (raises_invalid (fun () -> bound ~epsilon:nan ()));
+  check_bool "nan radius" true (raises_invalid (fun () -> bound ~radius:nan ()));
+  check_bool "nan feature bound" true
+    (raises_invalid (fun () -> bound ~feature_bound:nan ()))
 
 let test_mechanism_rejects_poisoned_input () =
   let m = mk_mech ~variant:Mechanism.with_reserve ~epsilon:0.1 ~dim:2 ~radius:1. () in
@@ -2673,6 +2704,167 @@ let streamed_cut_props =
           [ (8, 1_250, 1, 1_000); (128, 1_250, 1, 1_000); (1024, 60, 30, 30) ]);
   ]
 
+(* The dense cut as it was before it read xᵀMx from its own M·x: a
+   copy of [bounds]' quadratic form for the half-width (the gathered
+   form at dim ≥ 64 when x is sparse), then a second O(n²) pass for
+   M·x. *)
+module Bounds_then_matvec = struct
+  type t = { center : Vec.t; shape : Mat.t; scale : float; log_vol : float }
+
+  let of_ellipsoid (e : Ellipsoid.t) =
+    {
+      center = Vec.copy e.Ellipsoid.center;
+      shape = Mat.copy e.Ellipsoid.shape;
+      scale = e.Ellipsoid.scale;
+      log_vol = e.Ellipsoid.log_vol;
+    }
+
+  let same t (e : Ellipsoid.t) =
+    floats_eq t.center e.Ellipsoid.center
+    && floats_eq t.shape.Mat.data e.Ellipsoid.shape.Mat.data
+    && bits t.scale = bits e.Ellipsoid.scale
+    && bits t.log_vol = bits e.Ellipsoid.log_vol
+
+  let cut_below t ~x ~price =
+    let dim = Vec.dim x in
+    let qm =
+      match if dim >= 64 then Vec.Sparse.of_dense x else None with
+      | Some sx -> Mat.quad_sparse t.shape sx
+      | None -> Mat.quad t.shape x
+    in
+    let q = t.scale *. qm in
+    let half_width = if q <= 0. then 0. else sqrt q in
+    let mid = Vec.dot x t.center in
+    let n = float_of_int dim in
+    if half_width <= 0. then None
+    else
+      let alpha = (mid -. price) /. half_width in
+      if alpha >= 1. || alpha <= -1. /. n then None
+      else begin
+        let b = Vec.scale (t.scale /. half_width) (Mat.matvec t.shape x) in
+        let center = Vec.copy t.center in
+        Vec.axpy (-.(1. +. (n *. alpha)) /. (n +. 1.)) b center;
+        let shape, dlog =
+          if dim = 1 then
+            let f = (1. -. alpha) /. 2. in
+            (Mat.rank_one_rescale t.shape ~beta:0. ~b ~factor:(f *. f), log f)
+          else
+            let beta =
+              2. *. (1. +. (n *. alpha)) /. ((n +. 1.) *. (1. +. alpha))
+            in
+            let factor = n *. n *. (1. -. (alpha *. alpha)) /. ((n *. n) -. 1.) in
+            ( Mat.rank_one_rescale t.shape ~beta:(-.(beta /. t.scale)) ~b ~factor,
+              0.5 *. ((n *. log factor) +. log1p (-.beta)) )
+        in
+        Some { t with center; shape; log_vol = t.log_vol +. dlog }
+      end
+
+  let cut_above t ~x ~price = cut_below t ~x:(Vec.neg x) ~price:(-.price)
+end
+
+(* One dense cut sequence through [Bounds_then_matvec], the
+   unbuffered library cut and the buffered one (shape, b and center
+   buffers ping-ponged by hand; b and the center NaN-filled before
+   each cut).  At
+   dims ≥ 8 the start is scaled (scale ≠ 1) by a few sparse in-place
+   cuts, and some directions are sparse, so at dim 128 [bounds] takes
+   its gathered quadratic form.  Returns the number of cuts taken, or
+   the first disagreement. *)
+let dense_cut_run ~seed ~dim ~steps =
+  let start () =
+    let rng = Rng.create (seed + 7) in
+    let e = ref (Ellipsoid.ball ~dim ~radius:4.) in
+    if dim >= 8 then
+      for _ = 1 to 3 do
+        let x = sparse_dir rng ~dim in
+        let price = (Ellipsoid.bounds !e ~x).Ellipsoid.mid in
+        e := Ellipsoid.apply !e (Ellipsoid.cut_below ~mutate:true !e ~x ~price)
+      done;
+    !e
+  in
+  let rng = Rng.create seed in
+  let plain = ref (start ()) and buffered = ref (start ()) in
+  let reference = ref (Bounds_then_matvec.of_ellipsoid (start ())) in
+  let spare_shape = ref (Mat.zeros dim dim) and spare_center = ref (Vec.zeros dim) in
+  let b_buf = Vec.zeros dim and neg_buf = Vec.zeros dim in
+  let failure = ref None and cuts = ref 0 and step = ref 0 in
+  let fail fmt = Printf.ksprintf (fun s -> failure := Some s) fmt in
+  if dim >= 8 && Ellipsoid.scale !plain = 1. then fail "start not scaled";
+  while !failure = None && !step < steps do
+    incr step;
+    let x =
+      if Rng.int rng 3 = 0 then sparse_dir rng ~dim
+      else Dist.normal_vec rng ~dim
+    in
+    let above = Rng.int rng 3 = 0 in
+    let alpha =
+      let shallow = -1. /. float_of_int dim in
+      match Rng.int rng 10 with
+      | 0 -> shallow -. (0.5 *. Rng.float rng)
+      | 1 -> 1. +. Rng.float rng
+      | _ -> (0.5 *. shallow) +. ((0.6 -. (0.5 *. shallow)) *. Rng.float rng)
+    in
+    let bd = Ellipsoid.bounds !plain ~x in
+    let price =
+      if above then bd.Ellipsoid.mid +. (alpha *. bd.Ellipsoid.half_width)
+      else bd.Ellipsoid.mid -. (alpha *. bd.Ellipsoid.half_width)
+    in
+    let r =
+      if above then Bounds_then_matvec.cut_above !reference ~x ~price
+      else Bounds_then_matvec.cut_below !reference ~x ~price
+    in
+    let rp =
+      if above then Ellipsoid.cut_above !plain ~x ~price
+      else Ellipsoid.cut_below !plain ~x ~price
+    in
+    Array.fill b_buf 0 dim Float.nan;
+    Array.fill !spare_center 0 dim Float.nan;
+    let into = !spare_shape and center_into = !spare_center in
+    let rb =
+      if above then
+        Ellipsoid.cut_above ~into ~b_into:b_buf ~center_into ~neg_into:neg_buf
+          !buffered ~x ~price
+      else Ellipsoid.cut_below ~into ~b_into:b_buf ~center_into !buffered ~x ~price
+    in
+    match (r, rp, rb) with
+    | Some r, Ellipsoid.Cut ep, Ellipsoid.Cut eb ->
+        incr cuts;
+        if not (Bounds_then_matvec.same r ep) then
+          fail "step %d: unbuffered cut differs" !step
+        else if not (Bounds_then_matvec.same r eb) then
+          fail "step %d: buffered cut differs" !step
+        else if not (eb.Ellipsoid.shape == into && eb.Ellipsoid.center == center_into)
+        then fail "step %d: buffers not used" !step
+        else begin
+          spare_shape := !buffered.Ellipsoid.shape;
+          spare_center := !buffered.Ellipsoid.center;
+          plain := ep;
+          buffered := eb;
+          reference := r
+        end
+    | None, (Ellipsoid.Too_shallow | Ellipsoid.Empty),
+      (Ellipsoid.Too_shallow | Ellipsoid.Empty) ->
+        if rp <> rb then fail "step %d: exits differ" !step
+        else if not (all_nan center_into) then
+          fail "step %d: center_into written on a no-cut exit" !step
+    | _ -> fail "step %d: cut decisions differ" !step
+  done;
+  match !failure with Some msg -> Error msg | None -> Ok !cuts
+
+let dense_cut_props =
+  [
+    prop "dense cut bit-matches bounds-then-matvec (dims 1, 2, 8, 128)" 10
+      QCheck.(int_range 1 1_000_000)
+      (fun seed ->
+        List.for_all
+          (fun (dim, steps) ->
+            match dense_cut_run ~seed ~dim ~steps with
+            | Ok cuts when cuts >= steps / 2 -> true
+            | Ok cuts -> QCheck.Test.fail_reportf "dim %d: only %d cuts" dim cuts
+            | Error msg -> QCheck.Test.fail_reportf "dim %d: %s" dim msg)
+          [ (1, 60); (2, 100); (8, 100); (128, 40) ]);
+  ]
+
 (* A 2×2 shape one ulp off symmetric: M(0,1) = 0.5, M(1,0) = succ 0.5. *)
 let ulp_asymmetric_shape () =
   Mat.of_arrays [| [| 1.; 0.5 |]; [| Float.succ 0.5; 1. |] |]
@@ -2844,6 +3036,16 @@ let test_sgd_validation () =
     (match Sgd_pricing.create ~dim:2 ~radius:0. () with
     | _ -> false
     | exception Invalid_argument _ -> true)
+
+let test_sgd_validation_refuses_nan () =
+  check_bool "nan radius" true
+    (raises_invalid (fun () -> Sgd_pricing.create ~dim:2 ~radius:nan ()));
+  check_bool "nan learning rate" true
+    (raises_invalid (fun () ->
+         Sgd_pricing.create ~learning_rate:nan ~dim:2 ~radius:1. ()));
+  check_bool "nan margin" true
+    (raises_invalid (fun () ->
+         Sgd_pricing.create ~margin:nan ~dim:2 ~radius:1. ()))
 
 let test_sgd_projection () =
   (* Hammer the learner with accepts along one direction: the estimate
@@ -3055,7 +3257,13 @@ let () =
             test_volume_resync_boundary;
           Alcotest.test_case "cut into caller buffer" `Quick test_cut_into_buffer;
         ]
-        @ volume_cache_props @ ellipsoid_props );
+        @ volume_cache_props @ ellipsoid_props @ dense_cut_props
+        @ [
+            Alcotest.test_case "ball refuses a NaN radius" `Quick
+              test_ball_refuses_nan;
+            Alcotest.test_case "make refuses non-finite entries" `Quick
+              test_make_refuses_non_finite;
+          ] );
       ( "model",
         [
           Alcotest.test_case "links" `Quick test_links;
@@ -3127,7 +3335,11 @@ let () =
           Alcotest.test_case "survives a lying buyer" `Quick
             test_mechanism_survives_lying_buyer;
         ]
-        @ mechanism_props );
+        @ mechanism_props
+        @ [
+            Alcotest.test_case "te bound refuses NaN" `Quick
+              test_te_upper_bound_refuses_nan;
+          ] );
       ( "broker",
         [
           Alcotest.test_case "sublinear regret" `Quick test_broker_regret_sublinear;
@@ -3225,6 +3437,8 @@ let () =
           Alcotest.test_case "respects the reserve" `Quick test_sgd_respects_reserve;
           Alcotest.test_case "validation" `Quick test_sgd_validation;
           Alcotest.test_case "ball projection" `Quick test_sgd_projection;
+          Alcotest.test_case "validation refuses NaN" `Quick
+            test_sgd_validation_refuses_nan;
         ] );
       ( "adversary",
         [
