@@ -10,7 +10,8 @@
 
      0  no regression;
      1  a benchmark got slower by more than the threshold fraction
-        (default 0.25, i.e. +25%), or a critical key was removed;
+        (default 0.25, i.e. +25%), a count key (minor words, fsyncs per
+        round) rose by more than 5%, or a critical key was removed;
      2  no regression, but the records were taken at a different
         scale, jobs or core count, so their timings were not compared;
      3  bad arguments or an unreadable record.

@@ -229,6 +229,16 @@ let is_critical name =
       && String.sub name 0 (String.length p) = p)
     critical_prefixes
 
+(* Stage-2 keys that count words or fsyncs rather than time a call.
+   They repeat exactly for one configuration, so a few percent is a
+   real change: they get [count_threshold] instead of the timing
+   threshold. *)
+let count_threshold = 0.05
+
+let is_count name =
+  String.ends_with ~suffix:" minor_words" name
+  || name = "journal/fleet_fsyncs_per_kround"
+
 (* A field missing from either record (older emitters wrote no
    [cores]) cannot tell the two apart, so only fields both carry are
    compared. *)
@@ -261,6 +271,9 @@ let compare_section ppf ~title ~unit ~threshold ?(critical = fun _ -> false)
           match (ov, nv) with
           | Some (Some o), Some nv' when o > 0. ->
               let d = (nv' -. o) /. o in
+              let threshold =
+                if is_count name then count_threshold else threshold
+              in
               let verdict =
                 if d > threshold then begin
                   incr regressions;
@@ -302,9 +315,9 @@ let compare_section ppf ~title ~unit ~threshold ?(critical = fun _ -> false)
   !regressions
 
 let compare_records ppf ~threshold old_rec new_rec =
-  Format.fprintf ppf "comparing %s (old) vs %s (new), threshold %+.0f%%@."
-    old_rec.stamp new_rec.stamp
-    (100. *. threshold);
+  Format.fprintf ppf
+    "comparing %s (old) vs %s (new), threshold %+.0f%%, counts %+.0f%%@."
+    old_rec.stamp new_rec.stamp (100. *. threshold) (100. *. count_threshold);
   (* Timings taken at another scale, pool size or core count say
      nothing about the code; a removed critical key still does. *)
   let timings =

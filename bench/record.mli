@@ -48,6 +48,17 @@ val critical_prefixes : string list
 val is_critical : string -> bool
 (** Whether a stage-2 benchmark name matches {!critical_prefixes}. *)
 
+val count_threshold : float
+(** [0.05]: the bound on a count key's rise, the 5% that
+    BENCHMARK.json gives [alloc_words_per_req].  Counts repeat exactly
+    for one configuration, so the timing threshold would hide a
+    doubling. *)
+
+val is_count : string -> bool
+(** Whether a stage-2 key is a count rather than a timing: the
+    [… minor_words] allocation keys and
+    [journal/fleet_fsyncs_per_kround]. *)
+
 val config_differences : record -> record -> string list
 (** One line per configuration field ([scale], [jobs], [cores]) that
     both records carry with different values; a field missing from
@@ -66,7 +77,9 @@ val compare_section :
   int
 (** [compare_section ppf ~title ~unit ~threshold old new] prints the
     per-benchmark delta table and returns how many entries got slower
-    by more than the [threshold] fraction.  Entries present in only
+    by more than the [threshold] fraction, or, for the keys
+    {!is_count} accepts, rose by more than {!count_threshold}.
+    Entries present in only
     one record are listed as new/removed; removed entries are flagged
     as regressions iff [critical] (default: never) accepts their
     name.  Every column that has no measurement to show — a one-sided
@@ -81,6 +94,7 @@ val compare_records :
 (** Both sections of two records plus the header line; returns the
     total regression count.  When the records' configurations differ
     ({!config_differences} is not empty) it says so, skips every
-    timing row and counts only removed critical keys.  [compare.exe]
+    timing row and counts only removed critical keys; count keys are
+    rows like the timings, held to {!count_threshold}.  [compare.exe]
     exits 1 when the count is positive, otherwise 2 when the
     configurations differ, otherwise 0. *)

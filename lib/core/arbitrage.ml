@@ -1,19 +1,21 @@
 type tariff = float -> float
 
 let inverse_variance ~c =
-  if c < 0. then invalid_arg "Arbitrage.inverse_variance: negative rate";
+  if not (c >= 0.) then
+    invalid_arg "Arbitrage.inverse_variance: negative or NaN rate";
   fun v -> c /. v
 
 let inverse_variance_squared ~c =
-  if c < 0. then invalid_arg "Arbitrage.inverse_variance_squared: negative rate";
+  if not (c >= 0.) then
+    invalid_arg "Arbitrage.inverse_variance_squared: negative or NaN rate";
   fun v -> c /. (v *. v)
 
 let capped ~cap t =
-  if cap < 0. then invalid_arg "Arbitrage.capped: negative cap";
+  if not (cap >= 0.) then invalid_arg "Arbitrage.capped: negative or NaN cap";
   fun v -> Float.min cap (t v)
 
 let check_variance v =
-  if v <= 0. then invalid_arg "Arbitrage: variances must be positive"
+  if not (v > 0.) then invalid_arg "Arbitrage: variances must be positive"
 
 let violates t ~target ~components =
   check_variance target;

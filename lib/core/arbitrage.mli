@@ -24,21 +24,25 @@ type tariff = float -> float
 (** A price as a function of the answer variance [v > 0]. *)
 
 val inverse_variance : c:float -> tariff
-(** [p(v) = c/v] — arbitrage-free for [c ≥ 0]. *)
+(** [p(v) = c/v] — arbitrage-free for [c ≥ 0].  Raises
+    [Invalid_argument] on a negative or NaN [c]. *)
 
 val inverse_variance_squared : c:float -> tariff
-(** [p(v) = c/v²] — the classical {e arbitrage-prone} example. *)
+(** [p(v) = c/v²] — the classical {e arbitrage-prone} example.
+    Raises [Invalid_argument] on a negative or NaN [c]. *)
 
 val capped : cap:float -> tariff -> tariff
 (** [min cap (p v)]: capping preserves subadditivity and monotonicity
-    (hence arbitrage-freeness). *)
+    (hence arbitrage-freeness).  Raises [Invalid_argument] on a
+    negative or NaN [cap]. *)
 
 val violates :
   tariff -> target:float -> components:float list -> bool
 (** Whether buying [components] (variances) and averaging undercuts
     buying [target] directly, i.e. the components synthesize at least
     the target's precision strictly cheaper.  Raises
-    [Invalid_argument] on non-positive variances or an empty list. *)
+    [Invalid_argument] on non-positive or NaN variances or an empty
+    list. *)
 
 val find_violation :
   ?grid:float array -> ?pairs_only:bool -> tariff -> (float * float list) option

@@ -94,10 +94,11 @@ let of_box ~lo ~hi =
   if Vec.dim hi <> n then invalid_arg "Ellipsoid.of_box: dimension mismatch";
   let r2 = ref 0. in
   for i = 0 to n - 1 do
-    if lo.(i) > hi.(i) then invalid_arg "Ellipsoid.of_box: empty box";
+    if not (lo.(i) <= hi.(i)) then
+      invalid_arg "Ellipsoid.of_box: empty box or NaN bound";
     r2 := !r2 +. Float.max (lo.(i) *. lo.(i)) (hi.(i) *. hi.(i))
   done;
-  if !r2 <= 0. then invalid_arg "Ellipsoid.of_box: degenerate box";
+  if not (!r2 > 0.) then invalid_arg "Ellipsoid.of_box: degenerate box";
   ball ~dim:n ~radius:(sqrt !r2)
 
 let dim t = t.dim

@@ -60,7 +60,9 @@ val ball : dim:int -> radius:float -> t
 val of_box : lo:Dm_linalg.Vec.t -> hi:Dm_linalg.Vec.t -> t
 (** The paper's enclosing ball of the initial box
     [K₁ = {θ | ℓᵢ ≤ θᵢ ≤ uᵢ}]: a ball of radius
-    [R = √(Σᵢ max(ℓᵢ², uᵢ²))] centred at the origin. *)
+    [R = √(Σᵢ max(ℓᵢ², uᵢ²))] centred at the origin.  Raises
+    [Invalid_argument] on a dimension mismatch, on an empty box (some
+    [ℓᵢ > uᵢ]) or a NaN bound, and on a degenerate box ([R = 0]). *)
 
 val dim : t -> int
 

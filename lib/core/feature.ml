@@ -24,10 +24,32 @@ let aggregate ~dim comps =
   done;
   out
 
-let unit_normalize v =
+(* [Vec.scale (1. /. n)]'s products, written in place.  A NaN norm
+   scales too (every feature becomes NaN), hence [not (n <= 0.)] rather
+   than [n > 0.]. *)
+let[@inline] normalize_in_place v =
   let n = Vec.norm2 v in
-  if n <= 0. then v else Vec.scale (1. /. n) v
+  if not (n <= 0.) then begin
+    let a = 1. /. n in
+    for i = 0 to Array.length v - 1 do
+      Array.unsafe_set v i (a *. Array.unsafe_get v i)
+    done
+  end
+
+(* [Vec.sum]'s left-to-right sum from [0.], without its boxing fold. *)
+let[@inline] sum v =
+  let acc = ref 0. in
+  for i = 0 to Array.length v - 1 do
+    acc := !acc +. Array.unsafe_get v i
+  done;
+  !acc
+
+let unit_normalize v =
+  let w = Vec.copy v in
+  normalize_in_place w;
+  w
 
 let of_compensations ~dim comps =
-  let features = unit_normalize (aggregate ~dim comps) in
-  (features, Vec.sum features)
+  let features = aggregate ~dim comps in
+  normalize_in_place features;
+  (features, sum features)

@@ -22,12 +22,16 @@ val aggregate : dim:int -> Dm_linalg.Vec.t -> Dm_linalg.Vec.t
     other [dim] or on a negative or NaN compensation. *)
 
 val unit_normalize : Dm_linalg.Vec.t -> Dm_linalg.Vec.t
-(** Scale to unit L2 norm, as the App-1 setup does (‖x_t‖ = 1, so the
-    feature bound is S = 1).  The zero vector is returned unchanged
-    (a query that compensates nobody carries no signal). *)
+(** A fresh copy scaled to unit L2 norm, as the App-1 setup does
+    (‖x_t‖ = 1, so the feature bound is S = 1): the products of
+    [Vec.scale (1. /. Vec.norm2 v) v].  The zero vector (a query that
+    compensates nobody carries no signal) is copied unscaled. *)
 
 val of_compensations : dim:int -> Dm_linalg.Vec.t -> Dm_linalg.Vec.t * float
 (** The full App-1 pipeline: aggregate, normalize, and return the
     normalized feature vector together with the matching reserve price
     [q = Σᵢ xᵢ] (the total compensation expressed on the normalized
-    scale, exactly the paper's [q_t = Σ x_{t,i}]). *)
+    scale, exactly the paper's [q_t = Σ x_{t,i}]).  It normalizes
+    [aggregate]'s fresh output in place and sums it in a plain loop,
+    bit-identical to [unit_normalize] followed by [Vec.sum]; at
+    m = 500 owners and [dim = 100] it allocates 110 minor words. *)

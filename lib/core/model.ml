@@ -51,7 +51,8 @@ let log_log ~theta =
   let phi x =
     Vec.map
       (fun xi ->
-        if xi <= 0. then invalid_arg "Model.log_log: non-positive feature"
+        if not (xi > 0.) then
+          invalid_arg "Model.log_log: non-positive or NaN feature"
         else log xi)
       x
   in

@@ -48,7 +48,8 @@ val log_linear : theta:Dm_linalg.Vec.t -> t
 
 val log_log : theta:Dm_linalg.Vec.t -> t
 (** [log v = Σᵢ log(xᵢ)·θᵢ*] — hedonic pricing; features must be
-    positive where the weight is non-zero. *)
+    positive: evaluating the model on a non-positive or NaN feature
+    raises [Invalid_argument]. *)
 
 val logistic : theta:Dm_linalg.Vec.t -> t
 (** [v = σ(xᵀθ)] with hidden θ — App 3's impression/CTR model. *)

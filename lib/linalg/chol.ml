@@ -11,7 +11,7 @@ let factorize a =
         acc := !acc -. (Mat.get l i k *. Mat.get l j k)
       done;
       if i = j then begin
-        if !acc <= 0. then raise (Not_positive_definite i);
+        if not (!acc > 0.) then raise (Not_positive_definite i);
         Mat.set l i i (sqrt !acc)
       end
       else Mat.set l i j (!acc /. Mat.get l j j)

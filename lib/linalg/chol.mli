@@ -7,7 +7,7 @@
 
 exception Not_positive_definite of int
 (** Raised with the offending pivot index when a pivot is not strictly
-    positive. *)
+    positive, a NaN pivot included. *)
 
 val factorize : Mat.t -> Mat.t
 (** [factorize a] is the lower-triangular Cholesky factor [L] of the

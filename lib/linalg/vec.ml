@@ -126,95 +126,162 @@ let concat = Array.append
 
 let slice v ~pos ~len = Array.sub v pos len
 
-(* [sorted] insertion-sorts runs of this length, then merges them
-   bottom-up, so it is O(n log n) in the worst case. *)
-let sort_run = 32
+(* [sorted] sorts the nonzero, non-NaN values by the 63-bit pattern of
+   their magnitude, which orders magnitudes as [<] does (subnormals and
+   infinities included), so it sorts plain [int] keys: 63 bits, as on
+   every 64-bit platform.  Key ranges of at most this length are
+   insertion-sorted. *)
+let small_run = 32
 
-let imin (a : int) b = if a < b then a else b
+(* The magnitude's 63 bits: [Int64.to_int] drops the sign bit. *)
+let[@inline] magnitude_key x = Int64.to_int (Int64.bits_of_float x)
 
-let insertion_sort (a : t) lo hi =
+let[@inline] positive_of_key k =
+  Int64.float_of_bits (Int64.logand (Int64.of_int k) Int64.max_int)
+
+(* Keys are unsigned 63-bit integers; flipping bit 62, [int]'s sign
+   bit, lets the signed [<] compare them. *)
+let insertion_sort_keys (a : int array) lo hi =
   for i = lo + 1 to hi - 1 do
-    let x = Array.unsafe_get a i in
+    let k = Array.unsafe_get a i in
+    let u = k lxor min_int in
     let j = ref (i - 1) in
-    while !j >= lo && x < Array.unsafe_get a !j do
+    while !j >= lo && u < Array.unsafe_get a !j lxor min_int do
       Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
       decr j
     done;
-    Array.unsafe_set a (!j + 1) x
+    Array.unsafe_set a (!j + 1) k
   done
 
-(* Merges the sorted [src.[lo, mid)] and [src.[mid, hi)] into
-   [dst.[lo, hi)], taking from the left on ties. *)
-let merge (src : t) (dst : t) lo mid hi =
-  let i = ref lo and j = ref mid in
-  for k = lo to hi - 1 do
-    if
-      !i < mid
-      && (!j >= hi
-         || not (Array.unsafe_get src !j < Array.unsafe_get src !i))
-    then begin
-      Array.unsafe_set dst k (Array.unsafe_get src !i);
-      incr i
+(* Stable LSD passes over the four 8-bit digits of the keys
+   [a.[lo, hi)] at bits [shift, shift + 32), ping-ponging between [a]
+   and [b] and skipping any digit that every key shares.  One pass
+   fills all four histograms of [hist] (4 × 256 counters).  Returns the
+   array that holds the sorted range. *)
+let radix_passes hist (a : int array) (b : int array) lo hi shift =
+  Array.fill hist 0 1024 0;
+  for i = lo to hi - 1 do
+    let k = Array.unsafe_get a i lsr shift in
+    let c0 = k land 0xFF
+    and c1 = 256 + ((k lsr 8) land 0xFF)
+    and c2 = 512 + ((k lsr 16) land 0xFF)
+    and c3 = 768 + ((k lsr 24) land 0xFF) in
+    Array.unsafe_set hist c0 (Array.unsafe_get hist c0 + 1);
+    Array.unsafe_set hist c1 (Array.unsafe_get hist c1 + 1);
+    Array.unsafe_set hist c2 (Array.unsafe_get hist c2 + 1);
+    Array.unsafe_set hist c3 (Array.unsafe_get hist c3 + 1)
+  done;
+  let first = Array.unsafe_get a lo lsr shift in
+  let src = ref a and dst = ref b in
+  for d = 0 to 3 do
+    let base = 256 * d in
+    let digit = (first lsr (8 * d)) land 0xFF in
+    if Array.unsafe_get hist (base + digit) < hi - lo then begin
+      let start = ref lo in
+      for j = base to base + 255 do
+        let count = Array.unsafe_get hist j in
+        Array.unsafe_set hist j !start;
+        start := !start + count
+      done;
+      let s = !src and t = !dst and bit = shift + (8 * d) in
+      for i = lo to hi - 1 do
+        let k = Array.unsafe_get s i in
+        let j = base + ((k lsr bit) land 0xFF) in
+        let p = Array.unsafe_get hist j in
+        Array.unsafe_set t p k;
+        Array.unsafe_set hist j (p + 1)
+      done;
+      src := t;
+      dst := s
     end
-    else begin
-      Array.unsafe_set dst k (Array.unsafe_get src !j);
-      incr j
-    end
-  done
+  done;
+  !src
+
+(* Sorts the keys [a.[lo, hi)] with [b] as scratch and returns the
+   array that holds them: radix on bits 31–62, then each run of keys
+   that agree there is sorted on bits 0–30, by insertion when short and
+   by radix otherwise, so no input costs more than linear time. *)
+let sort_keys hist (a : int array) (b : int array) lo hi =
+  if hi - lo <= small_run then begin
+    insertion_sort_keys a lo hi;
+    a
+  end
+  else begin
+    let s = radix_passes hist a b lo hi 31 in
+    let t = if s == a then b else a in
+    let i = ref lo in
+    while !i < hi do
+      let high = Array.unsafe_get s !i lsr 31 in
+      let j = ref (!i + 1) in
+      while !j < hi && Array.unsafe_get s !j lsr 31 = high do
+        incr j
+      done;
+      let len = !j - !i in
+      if len > small_run then begin
+        let r = radix_passes hist s t !i !j 0 in
+        if r != s then Array.blit r !i s !i len
+      end
+      else if len > 1 then insertion_sort_keys s !i !j;
+      i := !j
+    done;
+    s
+  end
 
 (* Polymorphic [Array.sort Float.compare] boxes both operands of every
-   comparison; this sort compares with the unboxed [<].  NaNs, which
-   [<] cannot order, go first as [Float.compare] puts them. *)
+   comparison.  The output is fixed by the input: NaNs and zeros keep
+   their input order (the [<] of the stable merge sort this replaced
+   cannot tell them apart), and equal nonzero values have equal bits. *)
 let sorted (v : t) =
   let n = Array.length v in
-  let nans = ref 0 in
+  let nans = ref 0 and negs = ref 0 and zeros = ref 0 in
   for i = 0 to n - 1 do
     let x = Array.unsafe_get v i in
-    if Float.is_nan x then incr nans
+    if x < 0. then incr negs
+    else if x = 0. then incr zeros
+    else if Float.is_nan x then incr nans
   done;
-  let lo = !nans in
-  let passes = ref 0 and width = ref sort_run in
-  while !width < n - lo do
-    incr passes;
-    width := 2 * !width
-  done;
-  (* The merge passes ping-pong between [out] and [buf]; their parity
-     picks where the runs start, so the last pass lands in [out]. *)
+  let nans = !nans and negs = !negs and zeros = !zeros in
+  let nonzero = n - nans - zeros in
+  (* [out] is NaNs, negatives, zeros, positives; [keys] holds the
+     negatives' magnitudes, then the positives. *)
   let out = Array.create_float n in
-  let buf = if !passes = 0 then out else Array.create_float n in
-  let src = ref (if !passes land 1 = 0 then out else buf) in
-  let dst = ref (if !passes land 1 = 0 then buf else out) in
-  let nan_pos = ref 0 and pos = ref lo in
+  let keys = Array.make nonzero 0 in
+  let nan_at = ref 0 and zero_at = ref (nans + negs) in
+  let neg_at = ref 0 and pos_at = ref negs in
   for i = 0 to n - 1 do
     let x = Array.unsafe_get v i in
-    if Float.is_nan x then begin
-      Array.unsafe_set out !nan_pos x;
-      incr nan_pos
+    if x < 0. then begin
+      Array.unsafe_set keys !neg_at (magnitude_key x);
+      incr neg_at
+    end
+    else if x > 0. then begin
+      Array.unsafe_set keys !pos_at (magnitude_key x);
+      incr pos_at
+    end
+    else if x = 0. then begin
+      Array.unsafe_set out !zero_at x;
+      incr zero_at
     end
     else begin
-      Array.unsafe_set !src !pos x;
-      incr pos
+      Array.unsafe_set out !nan_at x;
+      incr nan_at
     end
   done;
-  let start = ref lo in
-  while !start < n do
-    let stop = imin n (!start + sort_run) in
-    insertion_sort !src !start stop;
-    start := stop
+  let radix = negs > small_run || nonzero - negs > small_run in
+  let hist = if radix then Array.make 1024 0 else [||] in
+  let buf = if radix then Array.make nonzero 0 else [||] in
+  (* The largest magnitude is the most negative value, so the
+     negatives go out in reverse. *)
+  let s = sort_keys hist keys buf 0 negs in
+  for i = 0 to negs - 1 do
+    Array.unsafe_set out
+      (nans + negs - 1 - i)
+      (-.positive_of_key (Array.unsafe_get s i))
   done;
-  width := sort_run;
-  for _ = 1 to !passes do
-    let s = !src and d = !dst in
-    start := lo;
-    while !start < n do
-      let mid = imin n (!start + !width) in
-      let stop = imin n (!start + (2 * !width)) in
-      merge s d !start mid stop;
-      start := stop
-    done;
-    src := d;
-    dst := s;
-    width := 2 * !width
+  let s = sort_keys hist keys buf negs nonzero in
+  let shift = nans + zeros in
+  for i = negs to nonzero - 1 do
+    Array.unsafe_set out (shift + i) (positive_of_key (Array.unsafe_get s i))
   done;
   out
 

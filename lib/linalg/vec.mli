@@ -107,12 +107,20 @@ val concat : t -> t -> t
 val slice : t -> pos:int -> len:int -> t
 
 val sorted : t -> t
-(** A fresh copy sorted in increasing order, [v] left unchanged.  At
-    every index the result compares equal under [Float.compare] to
-    [Array.sort Float.compare] applied to a copy of [v]: NaNs first,
-    then the rest by [<].  Without NaN or [-0.] the two are
-    bit-identical.  O(n log n) worst case, with no per-comparison
-    boxing. *)
+(** A fresh copy sorted in increasing order, [v] left unchanged: the
+    NaNs in input order, then the negatives, then the zeros ([-0.] and
+    [0.]) in input order, then the positives.  This is, bit for bit on
+    every input, what a stable sort by [<] with the NaNs moved first
+    gives, and at every index it compares equal under [Float.compare]
+    to [Array.sort Float.compare] applied to a copy of [v] (the two are
+    bit-identical without NaN or [-0.]).
+
+    An LSD radix sort on the values' IEEE-754 bit patterns: a fixed
+    number of linear passes on every input, none of them boxing.  Each
+    call allocates the result and one [int] key per nonzero, non-NaN
+    value; when more than 32 values share a sign it also allocates a
+    scratch key array of the same length and a 1,024-counter histogram.
+    Nothing is kept between calls. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [[v0; v1; ...]] with 6 significant digits. *)

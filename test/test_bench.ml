@@ -311,6 +311,109 @@ let test_config_mismatch_flags_removed_critical () =
   check_int "removed critical key flagged" 1 total;
   check_bool "flagged as removed" true (contains out "REGRESSION (removed)")
 
+(* Two records of one configuration (scale 0.01, jobs 2, cores 2) with
+   a timing key and two count keys. *)
+let count_fixture ~stamp ~matvec ~phi_words ~fsyncs =
+  Printf.sprintf
+    {|{ "schema": "dm-bench/1", "stamp": "%s",
+        "scale": 0.01, "jobs": 2, "cores": 2,
+        "stage1_wall_clock_s": [],
+        "stage2_ns_per_call": [
+          { "benchmark": "kernel matvec n1024", "ns": %g },
+          { "benchmark": "gc/app1_phi minor_words", "ns": %g },
+          { "benchmark": "journal/fleet_fsyncs_per_kround", "ns": %g } ] }|}
+    stamp matvec phi_words fsyncs
+
+let compare_counts ~old_words ~new_words ~old_fsyncs ~new_fsyncs ~new_matvec =
+  let old_rec =
+    parse_exn
+      (count_fixture ~stamp:"old" ~matvec:800. ~phi_words:old_words
+         ~fsyncs:old_fsyncs)
+  in
+  let new_rec =
+    parse_exn
+      (count_fixture ~stamp:"new" ~matvec:new_matvec ~phi_words:new_words
+         ~fsyncs:new_fsyncs)
+  in
+  render (fun ppf -> Record.compare_records ppf ~threshold:1.5 old_rec new_rec)
+
+let test_count_keys () =
+  check_bool "minor_words is a count" true
+    (Record.is_count "gc/app1_phi minor_words");
+  check_bool "serve round alloc is a count" true
+    (Record.is_count "serve/round_alloc minor_words");
+  check_bool "fsyncs per kround is a count" true
+    (Record.is_count "journal/fleet_fsyncs_per_kround");
+  check_bool "a timing is not" false (Record.is_count "pricing/app1 phi m500 n100");
+  check_bool "nor is the fleet timing" false
+    (Record.is_count "journal/fleet_group")
+
+let test_count_rise_flagged () =
+  (* +6% words under make ci's +150% timing threshold: the count gate
+     (5%) flags it, and so it does a +6% fsync rate. *)
+  let total, out =
+    compare_counts ~old_words:1000. ~new_words:1060. ~old_fsyncs:1.72
+      ~new_fsyncs:1.72 ~new_matvec:800.
+  in
+  check_int "the +6% count is flagged" 1 total;
+  check_bool "verdict printed" true (contains out "REGRESSION");
+  check_bool "header names the count bound" true (contains out "counts +5%");
+  let total, _ =
+    compare_counts ~old_words:1000. ~new_words:1000. ~old_fsyncs:1.72
+      ~new_fsyncs:(1.72 *. 1.06) ~new_matvec:800.
+  in
+  check_int "the +6% fsync rate is flagged" 1 total;
+  let total, _ =
+    compare_counts ~old_words:1000. ~new_words:1040. ~old_fsyncs:1.72
+      ~new_fsyncs:1.72 ~new_matvec:800.
+  in
+  check_int "+4% is within the count bound" 0 total
+
+let test_count_drop_not_flagged () =
+  (* 1,015 → 110 words per call (−89%) is an improvement, not a
+     regression. *)
+  let total, out =
+    compare_counts ~old_words:1015. ~new_words:110. ~old_fsyncs:1.72
+      ~new_fsyncs:1.72 ~new_matvec:800.
+  in
+  check_int "the -89% count is not flagged" 0 total;
+  check_bool "marked improved" true (contains out "improved")
+
+let test_count_gate_leaves_timings () =
+  (* A timing key still gets the caller's threshold: +100% passes at
+     +150%, +200% does not, whatever the counts do. *)
+  let total, _ =
+    compare_counts ~old_words:1000. ~new_words:1000. ~old_fsyncs:1.72
+      ~new_fsyncs:1.72 ~new_matvec:1600.
+  in
+  check_int "+100% timing within +150%" 0 total;
+  let total, _ =
+    compare_counts ~old_words:1000. ~new_words:1000. ~old_fsyncs:1.72
+      ~new_fsyncs:1.72 ~new_matvec:2400.
+  in
+  check_int "+200% timing flagged" 1 total;
+  (* And counts, like timings, are compared only between records of
+     one configuration. *)
+  let old_rec =
+    parse_exn
+      (count_fixture ~stamp:"old" ~matvec:800. ~phi_words:1000. ~fsyncs:1.72)
+  in
+  let other =
+    parse_exn
+      {|{ "schema": "dm-bench/1", "stamp": "other",
+          "scale": 0.02, "jobs": 1, "cores": 1,
+          "stage1_wall_clock_s": [],
+          "stage2_ns_per_call": [
+            { "benchmark": "kernel matvec n1024", "ns": 800 },
+            { "benchmark": "gc/app1_phi minor_words", "ns": 2000 },
+            { "benchmark": "journal/fleet_fsyncs_per_kround", "ns": 1.72 } ] }|}
+  in
+  let total, out =
+    render (fun ppf -> Record.compare_records ppf ~threshold:1.5 old_rec other)
+  in
+  check_int "other configuration: a doubled count is not compared" 0 total;
+  check_bool "mismatch notice" true (contains out "configurations differ")
+
 let () = Test_env.install_pool_from_env ()
 
 let () =
@@ -341,5 +444,11 @@ let () =
             test_config_mismatch_skips_timings;
           Alcotest.test_case "configuration mismatch flags removed critical"
             `Quick test_config_mismatch_flags_removed_critical;
+          Alcotest.test_case "count keys" `Quick test_count_keys;
+          Alcotest.test_case "count rise flagged" `Quick test_count_rise_flagged;
+          Alcotest.test_case "count drop not flagged" `Quick
+            test_count_drop_not_flagged;
+          Alcotest.test_case "count gate leaves timings" `Quick
+            test_count_gate_leaves_timings;
         ] );
     ]

@@ -250,6 +250,13 @@ let test_chol_not_pd () =
   check_bool "regularized solves singular PSD" true
     (Array.for_all Float.is_finite x)
 
+let test_chol_nan_pivot () =
+  (* A NaN pivot answers false to [acc <= 0.] but must still raise. *)
+  let a = Mat.of_arrays [| [| 4.; 2. |]; [| 2.; nan |] |] in
+  Alcotest.check_raises "NaN pivot" (Chol.Not_positive_definite 1) (fun () ->
+      ignore (Chol.factorize a));
+  check_bool "not positive definite" false (Chol.is_positive_definite a)
+
 let test_chol_log_det () =
   let a = Mat.scaled_identity 3 2. in
   check_float "log det of 2I₃" (3. *. log 2.) (Chol.log_det a)
@@ -1109,7 +1116,8 @@ let () =
           Alcotest.test_case "indefinite input" `Quick test_chol_not_pd;
           Alcotest.test_case "log det" `Quick test_chol_log_det;
         ]
-        @ chol_props );
+        @ chol_props
+        @ [ Alcotest.test_case "NaN pivot" `Quick test_chol_nan_pivot ] );
       ( "lu",
         [
           Alcotest.test_case "known inverse" `Quick test_lu_known;

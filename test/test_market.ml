@@ -79,6 +79,19 @@ let test_make_refuses_non_finite () =
   check_bool "finite input accepted" false
     (raises_invalid (make (shape ~d:2. ~a:0.5 ~b:0.5)))
 
+let test_of_box_refuses_nan () =
+  (* A NaN bound fails here, with [of_box]'s message, not downstream
+     in [ball]. *)
+  Alcotest.check_raises "NaN lower bound"
+    (Invalid_argument "Ellipsoid.of_box: empty box or NaN bound") (fun () ->
+      ignore (Ellipsoid.of_box ~lo:[| -1.; nan |] ~hi:[| 2.; 1. |]));
+  Alcotest.check_raises "NaN upper bound"
+    (Invalid_argument "Ellipsoid.of_box: empty box or NaN bound") (fun () ->
+      ignore (Ellipsoid.of_box ~lo:[| -1.; -3. |] ~hi:[| nan; 1. |]));
+  Alcotest.check_raises "degenerate box"
+    (Invalid_argument "Ellipsoid.of_box: degenerate box") (fun () ->
+      ignore (Ellipsoid.of_box ~lo:[| 0.; -0. |] ~hi:[| 0.; 0. |]))
+
 let test_of_box () =
   (* K₁ = [−1,2] × [−3,1] → R = √(4 + 9) = √13. *)
   let e = Ellipsoid.of_box ~lo:[| -1.; -3. |] ~hi:[| 2.; 1. |] in
@@ -479,6 +492,12 @@ let test_log_log_guard () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+let test_log_log_refuses_nan () =
+  let m = Model.log_log ~theta:[| 1.; 1. |] in
+  Alcotest.check_raises "NaN feature"
+    (Invalid_argument "Model.log_log: non-positive or NaN feature")
+    (fun () -> ignore (Model.value m [| 2.; nan |]))
+
 let test_kernelized_model () =
   let landmarks = [| [| 0.; 0. |]; [| 1.; 0. |] |] in
   let map = Dm_ml.Kernel.landmark_map (Dm_ml.Kernel.Rbf { gamma = 1. }) ~landmarks in
@@ -570,7 +589,15 @@ let test_of_compensations () =
   check_float "unit norm" 1. (Vec.norm2 x);
   check_float "reserve = Σ features" (Vec.sum x) reserve;
   (* All-equal compensations: features (4,4) → normalized (1/√2,1/√2). *)
-  check_bool "values" true (Vec.approx_equal x [| 1. /. sqrt 2.; 1. /. sqrt 2. |])
+  check_bool "values" true (Vec.approx_equal x [| 1. /. sqrt 2.; 1. /. sqrt 2. |]);
+  (* [unit_normalize] gives the same bits in a fresh vector, the zero
+     vector included. *)
+  let agg = Feature.aggregate ~dim:2 comps in
+  let u = Feature.unit_normalize agg in
+  check_bool "unit_normalize bits" true (floats_eq u x);
+  check_bool "unit_normalize leaves its input" true (floats_eq agg [| 4.; 4. |]);
+  let zero = Vec.zeros 3 in
+  check_bool "zero vector copied" true (Feature.unit_normalize zero != zero)
 
 let test_aggregate_rejects_nan () =
   Alcotest.check_raises "NaN compensation"
@@ -625,6 +652,144 @@ module Reference_phi = struct
     let features = if n <= 0. then v else Vec.scale (1. /. n) v in
     (features, Vec.sum features)
 end
+
+(* The monomorphic merge sort that [Vec.sorted] was before its radix
+   sort, kept verbatim as the reference it must match bit for bit. *)
+module Reference_sort = struct
+  type t = float array
+
+  (* [sorted] insertion-sorts runs of this length, then merges them
+     bottom-up, so it is O(n log n) in the worst case. *)
+  let sort_run = 32
+
+  let imin (a : int) b = if a < b then a else b
+
+  let insertion_sort (a : t) lo hi =
+    for i = lo + 1 to hi - 1 do
+      let x = Array.unsafe_get a i in
+      let j = ref (i - 1) in
+      while !j >= lo && x < Array.unsafe_get a !j do
+        Array.unsafe_set a (!j + 1) (Array.unsafe_get a !j);
+        decr j
+      done;
+      Array.unsafe_set a (!j + 1) x
+    done
+
+  (* Merges the sorted [src.[lo, mid)] and [src.[mid, hi)] into
+     [dst.[lo, hi)], taking from the left on ties. *)
+  let merge (src : t) (dst : t) lo mid hi =
+    let i = ref lo and j = ref mid in
+    for k = lo to hi - 1 do
+      if
+        !i < mid
+        && (!j >= hi
+           || not (Array.unsafe_get src !j < Array.unsafe_get src !i))
+      then begin
+        Array.unsafe_set dst k (Array.unsafe_get src !i);
+        incr i
+      end
+      else begin
+        Array.unsafe_set dst k (Array.unsafe_get src !j);
+        incr j
+      end
+    done
+
+  (* Polymorphic [Array.sort Float.compare] boxes both operands of every
+     comparison; this sort compares with the unboxed [<].  NaNs, which
+     [<] cannot order, go first as [Float.compare] puts them. *)
+  let sorted (v : t) =
+    let n = Array.length v in
+    let nans = ref 0 in
+    for i = 0 to n - 1 do
+      let x = Array.unsafe_get v i in
+      if Float.is_nan x then incr nans
+    done;
+    let lo = !nans in
+    let passes = ref 0 and width = ref sort_run in
+    while !width < n - lo do
+      incr passes;
+      width := 2 * !width
+    done;
+    (* The merge passes ping-pong between [out] and [buf]; their parity
+       picks where the runs start, so the last pass lands in [out]. *)
+    let out = Array.create_float n in
+    let buf = if !passes = 0 then out else Array.create_float n in
+    let src = ref (if !passes land 1 = 0 then out else buf) in
+    let dst = ref (if !passes land 1 = 0 then buf else out) in
+    let nan_pos = ref 0 and pos = ref lo in
+    for i = 0 to n - 1 do
+      let x = Array.unsafe_get v i in
+      if Float.is_nan x then begin
+        Array.unsafe_set out !nan_pos x;
+        incr nan_pos
+      end
+      else begin
+        Array.unsafe_set !src !pos x;
+        incr pos
+      end
+    done;
+    let start = ref lo in
+    while !start < n do
+      let stop = imin n (!start + sort_run) in
+      insertion_sort !src !start stop;
+      start := stop
+    done;
+    width := sort_run;
+    for _ = 1 to !passes do
+      let s = !src and d = !dst in
+      start := lo;
+      while !start < n do
+        let mid = imin n (!start + !width) in
+        let stop = imin n (!start + (2 * !width)) in
+        merge s d !start mid stop;
+        start := stop
+      done;
+      src := d;
+      dst := s;
+      width := 2 * !width
+    done;
+    out
+end
+
+(* φ's minor words per call at m = 500 owners and n = 100 features,
+   over 64 seeded queries after one warm-up pass.  Arrays longer than
+   256 words go to the major heap, so the count is what φ allocates in
+   small blocks: the 100 aggregated features, the boxed norm and
+   reserve, and the result pair. *)
+let phi_minor_words_bound = 110.
+
+let test_phi_allocation () =
+  let m = 500 and dim = 100 and calls = 64 in
+  let rng = Rng.create 2026 in
+  let contracts =
+    Array.init m (fun i ->
+        if i mod 3 = 0 then Comp.linear ~rate:(Rng.uniform rng 0. 2.)
+        else
+          Comp.tanh_contract ~cap:(Rng.uniform rng 0. 3.)
+            ~steepness:(Rng.uniform rng 0. 4.))
+  in
+  let data_ranges = Array.init m (fun _ -> Rng.uniform rng 0. 4.) in
+  let queries =
+    Array.init calls (fun _ ->
+        Dp.make_query
+          ~weights:(Array.init m (fun _ -> Rng.uniform rng (-1.) 1.))
+          ~noise_scale:(Rng.uniform rng 0.1 10.))
+  in
+  let phi q =
+    let leakages = Dp.leakage q ~data_ranges in
+    Feature.of_compensations ~dim (Comp.per_owner ~contracts ~leakages)
+  in
+  Array.iter (fun q -> ignore (Sys.opaque_identity (phi q))) queries;
+  let w0 = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    ignore (Sys.opaque_identity (phi queries.(i)))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  check_bool
+    (Printf.sprintf "%.1f minor words per call <= %.0f" per_call
+       phi_minor_words_bound)
+    true
+    (per_call <= phi_minor_words_bound)
 
 (* m owners, dim ∈ [1, m], mixed contracts with zero rates and caps
    (and a −0 rate, which makes −0 compensations), weights and ranges
@@ -681,9 +846,9 @@ let phi_case_arb =
       Printf.sprintf "m = %d, dim = %d, noise scale = %h"
         (Vec.dim q.Dp.weights) dim q.Dp.noise_scale)
 
-(* [Vec.sorted] insertion-sorts runs of 32 and doubles the merged width
-   on every pass, so these lengths straddle each run and pass boundary
-   up to 1031. *)
+(* Lengths on both sides of each power of two up to 1031; 31–33
+   straddle [Vec.sorted]'s insertion threshold (key ranges of at most
+   32 are insertion-sorted, longer ones radix-sorted). *)
 let sort_lengths =
   [ 0; 1; 2; 500; 1031 ]
   @ List.concat_map
@@ -725,6 +890,99 @@ let sort_case_arb =
   in
   QCheck.make gen ~print:QCheck.Print.(array float)
 
+(* Inputs that reach every branch of the radix [Vec.sorted]: negatives
+   only, mixed signs, runs of ±0, subnormals, ±∞, NaN payloads of both
+   signs among raw bit patterns, and keys that share a random set of
+   8-bit digits with one base value, so the shared digits' passes are
+   skipped.  When only the low digits (bits 0–30) vary, every key
+   agrees on bits 31–62, which at n ≥ 33 sends the run to the low-bit
+   radix; [few_highs] lets two bits of the high digits vary too, so
+   several such runs form.  Any of these may also come out all-equal or
+   reversed. *)
+let radix_case_arb =
+  let open QCheck.Gen in
+  let of_bits = Int64.float_of_bits in
+  (* Digits 0–3 cover bits 0–30 (the last one 7 bits wide), digits 4–7
+     bits 31–62, as the sort cuts its keys. *)
+  let digit_mask d =
+    if d < 4 then Int64.shift_left (if d = 3 then 0x7FL else 0xFFL) (8 * d)
+    else Int64.shift_left 0xFFL (31 + (8 * (d - 4)))
+  in
+  let mask_of sel =
+    List.fold_left
+      (fun m d ->
+        if sel land (1 lsl d) <> 0 then Int64.logor m (digit_mask d) else m)
+      0L
+      [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+  in
+  let masked ~base ~mask =
+    map
+      (fun b ->
+        of_bits
+          (Int64.logor
+             (Int64.logand base (Int64.lognot mask))
+             (Int64.logand b mask)))
+      ui64
+  in
+  let negative =
+    oneof
+      [
+        map (fun x -> -.x) (float_range 0. 1e3);
+        (* Any finite negative: sign set, exponent never all ones. *)
+        map
+          (fun b ->
+            of_bits
+              (Int64.logor (Int64.logand b 0x7FEF_FFFF_FFFF_FFFFL) Int64.min_int))
+          ui64;
+      ]
+  in
+  let specials =
+    oneofl
+      [
+        0.; -0.; infinity; neg_infinity; nan; -.nan; 0x1p-1074; -0x1p-1074;
+        0x1p-1022; max_float; -.max_float;
+      ]
+  in
+  let subnormal =
+    map (fun b -> of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL)) ui64
+  in
+  let nan_payload =
+    map (fun b -> of_bits (Int64.logor b 0x7FF0_0000_0000_0001L)) ui64
+  in
+  let gen =
+    let* n = oneofl [ 0; 1; 2; 31; 32; 33; 500; 1031 ] in
+    let* base = map Int64.bits_of_float (float_range (-1e3) 1e3) in
+    let* sel = oneof [ int_bound 255; int_bound 15 ] in
+    let value =
+      [|
+        negative;
+        frequency [ (6, float_range (-100.) 100.); (1, specials) ];
+        frequency [ (4, oneofl [ 0.; -0. ]); (1, float_range (-1.) 1.) ];
+        frequency
+          [ (3, subnormal); (1, oneofl [ 0.; -0.; 0x1p-1022; -0x1p-1022 ]) ];
+        frequency
+          [ (2, oneofl [ infinity; neg_infinity ]); (3, float_range (-10.) 10.) ];
+        frequency [ (1, nan_payload); (3, map of_bits ui64) ];
+        masked ~base ~mask:(mask_of sel);
+        (* few_highs *)
+        masked ~base
+          ~mask:(Int64.logor (Int64.shift_left 3L 31) (mask_of (sel land 15)));
+      |]
+    in
+    let* value = oneofa value in
+    let* v = array_repeat n value in
+    let+ shape = oneofl [ `Random; `Random; `Reversed; `Equal ] in
+    match shape with
+    | `Random -> v
+    | `Reversed ->
+        let w = Reference_sort.sorted v in
+        Array.init n (fun i -> w.(n - 1 - i))
+    | `Equal -> if n = 0 then v else Array.make n v.(0)
+  in
+  QCheck.make gen ~print:(fun v ->
+      String.concat " "
+        (Array.to_list (Array.map (fun x -> Printf.sprintf "%Lx" (bits x)) v)))
+
 let phi_props =
   [
     prop "phi is bit-identical to the closure-based reference" 200
@@ -754,6 +1012,11 @@ let phi_props =
         && Array.length got = Array.length want
         && Array.for_all2 (fun a b -> Float.compare a b = 0) got want
         && ((not plain) || floats_eq got want));
+    prop "Vec.sorted is bit-identical to the merge sort it replaced" 500
+      radix_case_arb (fun v ->
+        let input = Array.copy v in
+        let got = Vec.sorted v in
+        floats_eq v input && floats_eq got (Reference_sort.sorted v));
   ]
 
 let feature_props =
@@ -2963,6 +3226,23 @@ let test_arbitrage_validation () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+let test_arbitrage_refuses_nan () =
+  let raises name f =
+    check_bool name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  raises "inverse_variance NaN rate" (fun () ->
+      ignore (Arbitrage.inverse_variance ~c:nan 1.));
+  raises "inverse_variance_squared NaN rate" (fun () ->
+      ignore (Arbitrage.inverse_variance_squared ~c:nan 1.));
+  raises "capped NaN cap" (fun () ->
+      ignore (Arbitrage.capped ~cap:nan (Arbitrage.inverse_variance ~c:1.) 1.));
+  let t = Arbitrage.inverse_variance ~c:1. in
+  raises "NaN target variance" (fun () ->
+      Arbitrage.violates t ~target:nan ~components:[ 1. ]);
+  raises "NaN component variance" (fun () ->
+      Arbitrage.violates t ~target:1. ~components:[ 1.; nan ])
+
 let arbitrage_props =
   [
     prop "c/v never violated by random bundles" 200
@@ -3263,6 +3543,8 @@ let () =
               test_ball_refuses_nan;
             Alcotest.test_case "make refuses non-finite entries" `Quick
               test_make_refuses_non_finite;
+            Alcotest.test_case "of box refuses NaN" `Quick
+              test_of_box_refuses_nan;
           ] );
       ( "model",
         [
@@ -3297,6 +3579,8 @@ let () =
                     Model.value ~noise:(noise +. bump) m x
                     > Model.value ~noise m x)
                   [ Model.linear; Model.log_linear; Model.logistic ]);
+            Alcotest.test_case "log-log refuses NaN" `Quick
+              test_log_log_refuses_nan;
           ] );
       ( "regret",
         [
@@ -3312,7 +3596,8 @@ let () =
           Alcotest.test_case "aggregate rejects NaN" `Quick
             test_aggregate_rejects_nan;
         ]
-        @ feature_props @ phi_props );
+        @ feature_props @ phi_props
+        @ [ Alcotest.test_case "phi allocation" `Quick test_phi_allocation ] );
       ( "mechanism",
         [
           Alcotest.test_case "variant names" `Quick test_variant_names;
@@ -3429,7 +3714,10 @@ let () =
           Alcotest.test_case "capping" `Quick test_arbitrage_capped;
           Alcotest.test_case "validation" `Quick test_arbitrage_validation;
         ]
-        @ arbitrage_props );
+        @ arbitrage_props
+        @ [
+            Alcotest.test_case "refuses NaN" `Quick test_arbitrage_refuses_nan;
+          ] );
       ( "sgd_pricing",
         [
           Alcotest.test_case "learns a simple market" `Quick
