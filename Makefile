@@ -43,8 +43,8 @@ bench:
 # also writes a BENCH_*.json record exercising the perf-trajectory
 # pipeline.  When a previous BENCH_*.json exists, the smoke record is
 # compared against it and a flagged regression fails the target.
-# Timings are compared only when both records share scale, jobs and
-# cores; otherwise compare.exe exits 2 ("no record of this
+# Timings are compared only when both records share scale, jobs,
+# cores and build profile; otherwise compare.exe exits 2 ("no record of this
 # configuration"), which passes, after still flagging any removed
 # critical key.  The threshold is loose (+150%) because the 0.01-scale
 # smoke timings are noisy — the compare mainly guards the critical

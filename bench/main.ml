@@ -816,6 +816,7 @@ let write_json ~stamp ~stage1_timings ~stage2_estimates =
   out "  \"jobs\": %d,\n" jobs;
   out "  \"jobs_requested\": %d,\n" jobs_requested;
   out "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
+  out "  \"profile\": \"%s\",\n" (json_escape Build_profile.profile);
   out "  \"stage1_wall_clock_s\": [\n";
   List.iteri
     (fun i (name, seconds) ->

@@ -155,6 +155,7 @@ type record = {
   scale : float option;
   jobs : int option;
   cores : int option;
+  profile : string option;
   stage1 : (string * float) list;
   stage2 : (string * float option) list;
 }
@@ -193,6 +194,10 @@ let of_string ?(path = "<string>") src =
               scale = num "scale";
               jobs = int "jobs";
               cores = int "cores";
+              profile =
+                (match member "profile" root with
+                | Some (Str p) -> Some p
+                | _ -> None);
               stage1 =
                 entries "stage1_wall_clock_s" "artifact" (fun item ->
                     match member "seconds" item with
@@ -240,8 +245,8 @@ let is_count name =
   || name = "journal/fleet_fsyncs_per_kround"
 
 (* A field missing from either record (older emitters wrote no
-   [cores]) cannot tell the two apart, so only fields both carry are
-   compared. *)
+   [cores] or [profile]) cannot tell the two apart, so only fields both
+   carry are compared. *)
 let config_differences a b =
   let field name show x y =
     match (x, y) with
@@ -252,6 +257,7 @@ let config_differences a b =
   field "scale" (Printf.sprintf "%g") a.scale b.scale
   @ field "jobs" string_of_int a.jobs b.jobs
   @ field "cores" string_of_int a.cores b.cores
+  @ field "profile" Fun.id a.profile b.profile
 
 let compare_section ppf ~title ~unit ~threshold ?(critical = fun _ -> false)
     ?(timings = true) old_entries new_entries =
@@ -318,8 +324,9 @@ let compare_records ppf ~threshold old_rec new_rec =
   Format.fprintf ppf
     "comparing %s (old) vs %s (new), threshold %+.0f%%, counts %+.0f%%@."
     old_rec.stamp new_rec.stamp (100. *. threshold) (100. *. count_threshold);
-  (* Timings taken at another scale, pool size or core count say
-     nothing about the code; a removed critical key still does. *)
+  (* Timings taken at another scale, pool size, core count or build
+     profile say nothing about the code; a removed critical key still
+     does. *)
   let timings =
     match config_differences old_rec new_rec with
     | [] -> true

@@ -22,6 +22,10 @@ type record = {
   cores : int option;
       (** [Domain.recommended_domain_count] at run time; [None] in
           records written before the emitter recorded it *)
+  profile : string option;
+      (** the dune build profile that compiled the bench ([dev] or
+          [release]); [None] in records written before the emitter
+          recorded it *)
   stage1 : (string * float) list;  (** artifact, wall-clock seconds *)
   stage2 : (string * float option) list;
       (** benchmark, ns/call; [None] when the estimator yielded none *)
@@ -60,10 +64,10 @@ val is_count : string -> bool
     [journal/fleet_fsyncs_per_kround]. *)
 
 val config_differences : record -> record -> string list
-(** One line per configuration field ([scale], [jobs], [cores]) that
-    both records carry with different values; a field missing from
-    either record is not compared.  Timings are comparable only when
-    the list is empty. *)
+(** One line per configuration field ([scale], [jobs], [cores],
+    [profile]) that both records carry with different values; a field
+    missing from either record is not compared.  Timings are comparable
+    only when the list is empty. *)
 
 val compare_section :
   Format.formatter ->

@@ -34,14 +34,20 @@ let make ?(train_rounds = 200_000) ?ftrl_l1 ~seed ~dim ~rounds () =
   in
   if dim < 2 then invalid_arg "Impression.make: dim must be >= 2";
   if rounds < 1 then invalid_arg "Impression.make: need at least one round";
+  if train_rounds < 1 then
+    invalid_arg "Impression.make: need at least one training round";
   let root = Rng.create seed in
   let train_rng = Rng.split root in
   let price_rng = Rng.split root in
   (* Learn θ* on a training stream, exactly the paper's FTRL-Proximal
-     step (per-coordinate rates, L1/L2). *)
-  let train = Avazu.generate train_rng ~rounds:train_rounds in
+     step (per-coordinate rates, L1/L2).  Each impression is encoded as
+     it is drawn, in [Avazu.generate]'s order, so the raw stream (nine
+     fresh string pairs per impression) is never held alongside its
+     encodings. *)
   let examples =
-    Array.map (fun imp -> (Avazu.encode ~dim imp, imp.Avazu.clicked)) train
+    Array.init train_rounds (fun _ ->
+        let imp = Avazu.draw train_rng in
+        (Avazu.encode ~dim imp, imp.Avazu.clicked))
   in
   let ftrl =
     Ftrl.create
@@ -60,12 +66,11 @@ let make ?(train_rounds = 200_000) ?ftrl_l1 ~seed ~dim ~rounds () =
   let support = if Array.length support = 0 then [| 0 |] else support in
   let dense_dim = Array.length support in
   let theta_dense = Array.map (fun i -> theta.(i)) support in
-  (* The pricing stream: fresh impressions from the same market. *)
-  let pricing = Avazu.generate price_rng ~rounds in
+  (* The pricing stream: fresh impressions from the same market,
+     streamed the same way. *)
   let sparse_stream =
-    Array.map
-      (fun imp -> Hashing.to_dense ~dim (Avazu.encode ~dim imp))
-      pricing
+    Array.init rounds (fun _ ->
+        Hashing.to_dense ~dim (Avazu.encode ~dim (Avazu.draw price_rng)))
   in
   let dense_stream =
     Array.map

@@ -38,7 +38,17 @@ val make :
   t
 (** [dim] is the hashing modulus n; [rounds] the pricing horizon;
     [train_rounds] (default 200,000) the FTRL training volume — the
-    real corpus has 404M rows, scaled down per DESIGN.md §3. *)
+    real corpus has 404M rows, scaled down per DESIGN.md §3.
+
+    Set-up memory: both streams are drawn one impression at a time
+    ({!Dm_synth.Avazu.draw}) and encoded as they are drawn, in
+    {!Dm_synth.Avazu.generate}'s order, so the raw impressions (nine
+    fresh string pairs each) are garbage at once and never held
+    alongside their encodings; only the hashed training set (kept for
+    FTRL's two epochs) and the pricing vectors live on.  θ*, both
+    streams and every later price are bit-identical to generating each
+    stream whole first.  Raises [Invalid_argument] before any work
+    when [dim < 2], [rounds < 1] or [train_rounds < 1]. *)
 
 val model : t -> case -> Dm_market.Model.t
 

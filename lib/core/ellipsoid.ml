@@ -111,17 +111,24 @@ let bounds t ~x =
   if Vec.dim x <> t.dim then invalid_arg "Ellipsoid.bounds: dimension mismatch";
   (* xᵀAx = scale·(xᵀMx); the gathered quadratic form is bit-identical
      to the dense one, so sparse streams get the O(nnz²) kernel with no
-     observable difference. *)
+     observable difference.  The same view reads xᵀc in O(nnz), as
+     [cut_below_sparse] does: it equals [Vec.dot] bit for bit while the
+     center is finite, which [make] checks. *)
+  let sx =
+    if t.dim >= sparse_bounds_floor then Vec.Sparse.of_dense x else None
+  in
   let qm =
-    match
-      if t.dim >= sparse_bounds_floor then Vec.Sparse.of_dense x else None
-    with
+    match sx with
     | Some sx -> Mat.quad_sparse t.shape sx
     | None -> Mat.quad t.shape x
   in
   let q = t.scale *. qm in
   let half_width = if q <= 0. then 0. else sqrt q in
-  let mid = Vec.dot x t.center in
+  let mid =
+    match sx with
+    | Some sx -> Vec.Sparse.dot_dense sx t.center
+    | None -> Vec.dot x t.center
+  in
   { lower = mid -. half_width; upper = mid +. half_width; mid; half_width }
 
 let width t ~x = 2. *. (bounds t ~x).half_width

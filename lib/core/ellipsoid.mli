@@ -81,7 +81,14 @@ type bounds = {
 val bounds : t -> x:Dm_linalg.Vec.t -> bounds
 (** Market-value bounds along direction [x] — Lines 5–7 of
     Algorithm 1.  Cost: one O(n²) quadratic form and one O(n) dot
-    product. *)
+    product.  At n ≥ 64 a direction with at most 1/8 nonzeros gets a
+    sparse view ({!Dm_linalg.Vec.Sparse.of_dense}), and both the
+    quadratic form and [mid = xᵀc] are read through it, in O(nnz²) and
+    O(nnz) ([Mat.quad_sparse], [Vec.Sparse.dot_dense]).  The view
+    skips only the terms with xᵢ = 0, each an exact ±0 while cᵢ is
+    finite, so [mid] has the dense dot's bits whenever every center
+    entry is finite ({!make} refuses any other center).  Otherwise the
+    dense [Mat.quad] and [Vec.dot] run as before. *)
 
 val width : t -> x:Dm_linalg.Vec.t -> float
 (** [p̄ − p̲ = 2√(xᵀAx)], the quantity compared with the threshold ε. *)

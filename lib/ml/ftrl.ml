@@ -11,9 +11,10 @@ type t = {
 
 let create ?(params = default_params) ~dim () =
   if dim < 1 then invalid_arg "Ftrl.create: dim must be >= 1";
-  if params.alpha <= 0. then invalid_arg "Ftrl.create: alpha must be > 0";
-  if params.beta < 0. || params.l1 < 0. || params.l2 < 0. then
-    invalid_arg "Ftrl.create: negative regularization";
+  if not (params.alpha > 0.) then
+    invalid_arg "Ftrl.create: alpha must be > 0, not NaN";
+  if not (params.beta >= 0. && params.l1 >= 0. && params.l2 >= 0.) then
+    invalid_arg "Ftrl.create: negative or NaN regularization";
   { params; z = Array.make dim 0.; n = Array.make dim 0.; dim }
 
 let dim t = t.dim

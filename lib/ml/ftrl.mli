@@ -27,7 +27,9 @@ val default_params : params
 type t
 
 val create : ?params:params -> dim:int -> unit -> t
-(** Fresh model over [dim] hashed buckets. *)
+(** Fresh model over [dim] hashed buckets.  Raises [Invalid_argument]
+    when [dim < 1] or a parameter is outside its range, NaN
+    included. *)
 
 val dim : t -> int
 

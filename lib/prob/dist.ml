@@ -1,7 +1,7 @@
 module Vec = Dm_linalg.Vec
 
 let normal rng ~mean ~std =
-  if std < 0. then invalid_arg "Dist.normal: negative std";
+  if not (std >= 0.) then invalid_arg "Dist.normal: negative or NaN std";
   (* Box–Muller; u1 is kept away from 0 so the log is finite. *)
   let u1 = 1. -. Rng.float rng in
   let u2 = Rng.float rng in
@@ -12,7 +12,7 @@ let normal_vec rng ~dim = Vec.init dim (fun _ -> normal rng ~mean:0. ~std:1.)
 let uniform_vec rng ~dim ~lo ~hi = Vec.init dim (fun _ -> Rng.uniform rng lo hi)
 
 let laplace rng ~scale =
-  if scale < 0. then invalid_arg "Dist.laplace: negative scale";
+  if not (scale >= 0.) then invalid_arg "Dist.laplace: negative or NaN scale";
   let u = Rng.float rng -. 0.5 in
   let s = if u >= 0. then 1. else -1. in
   -.scale *. s *. log (1. -. (2. *. abs_float u))
@@ -20,18 +20,23 @@ let laplace rng ~scale =
 let rademacher rng = if Rng.bool rng then 1. else -1.
 
 let bernoulli rng ~p =
-  if p < 0. || p > 1. then invalid_arg "Dist.bernoulli: p outside [0,1]";
+  if not (p >= 0. && p <= 1.) then
+    invalid_arg "Dist.bernoulli: p outside [0,1]";
   Rng.float rng < p
 
 let exponential rng ~rate =
-  if rate <= 0. then invalid_arg "Dist.exponential: rate must be positive";
+  if not (rate > 0.) then
+    invalid_arg "Dist.exponential: rate must be positive, not NaN";
   -.log (1. -. Rng.float rng) /. rate
 
 let categorical rng ~weights =
   let total = Array.fold_left ( +. ) 0. weights in
-  if total <= 0. then invalid_arg "Dist.categorical: weights must sum > 0";
+  if not (total > 0.) then
+    invalid_arg "Dist.categorical: weights must sum > 0, not NaN";
   Array.iter
-    (fun w -> if w < 0. then invalid_arg "Dist.categorical: negative weight")
+    (fun w ->
+      if not (w >= 0.) then
+        invalid_arg "Dist.categorical: negative or NaN weight")
     weights;
   let u = Rng.float rng *. total in
   let n = Array.length weights in
@@ -45,7 +50,7 @@ let categorical rng ~weights =
 
 let zipf rng ~n ~s =
   if n <= 0 then invalid_arg "Dist.zipf: n must be positive";
-  if s < 0. then invalid_arg "Dist.zipf: negative exponent";
+  if not (s >= 0.) then invalid_arg "Dist.zipf: negative or NaN exponent";
   let weights =
     Array.init n (fun k -> (1. /. float_of_int (k + 1)) ** s)
   in
@@ -54,7 +59,8 @@ let zipf rng ~n ~s =
 let student_t rng ~dof ~scale =
   if dof <= 0. || not (Float.is_finite dof) then
     invalid_arg "Dist.student_t: dof must be finite and positive";
-  if scale < 0. then invalid_arg "Dist.student_t: negative scale";
+  if not (scale >= 0.) then
+    invalid_arg "Dist.student_t: negative or NaN scale";
   (* Bailey's polar method: with u, v uniform on (0,1],
      √(ν·(u^{−2/ν} − 1))·cos(2πv) is Student-t with ν degrees of
      freedom.  Two uniforms per call, like Box–Muller above, so
@@ -68,7 +74,8 @@ let student_t rng ~dof ~scale =
 let pareto rng ~alpha ~scale =
   if alpha <= 0. || not (Float.is_finite alpha) then
     invalid_arg "Dist.pareto: alpha must be finite and positive";
-  if scale < 0. then invalid_arg "Dist.pareto: negative scale";
+  if not (scale >= 0.) then
+    invalid_arg "Dist.pareto: negative or NaN scale";
   (* Inverse CDF: x_m·u^{−1/α} on [x_m, ∞); u is kept away from 0 so
      the draw is finite. *)
   let u = 1. -. Rng.float rng in
@@ -102,7 +109,8 @@ let subgaussian_sigma = function
   | Degenerate -> 0.
 
 let on_sphere rng ~dim ~radius =
-  if radius < 0. then invalid_arg "Dist.on_sphere: negative radius";
+  if not (radius >= 0.) then
+    invalid_arg "Dist.on_sphere: negative or NaN radius";
   let rec draw () =
     let v = normal_vec rng ~dim in
     if Vec.norm2 v > 1e-12 then v else draw ()

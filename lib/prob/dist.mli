@@ -3,7 +3,10 @@
     Section V-A draws query weights from N(0, I) or U[−1, 1], Laplace
     noise scales from a log-uniform grid, and market-value uncertainty
     [δ_t] from a σ-sub-Gaussian law (normal, uniform, or Rademacher —
-    all covered by Eq. 4 of the paper). *)
+    all covered by Eq. 4 of the paper).
+
+    A parameter outside its stated range raises [Invalid_argument], and
+    NaN is outside every range. *)
 
 val normal : Rng.t -> mean:float -> std:float -> float
 (** Gaussian sample by the Box–Muller transform (the spare variate is
@@ -17,7 +20,8 @@ val uniform_vec : Rng.t -> dim:int -> lo:float -> hi:float -> Dm_linalg.Vec.t
 
 val laplace : Rng.t -> scale:float -> float
 (** Zero-mean Laplace sample via inverse CDF; [scale] is the diversity
-    parameter b (variance 2b²).  This is the DP noise of App 1. *)
+    parameter b (variance 2b²).  This is the DP noise of App 1.
+    Requires [scale ≥ 0]. *)
 
 val rademacher : Rng.t -> float
 (** ±1 with equal probability — a 1-sub-Gaussian example from the
@@ -31,7 +35,7 @@ val exponential : Rng.t -> rate:float -> float
 
 val categorical : Rng.t -> weights:float array -> int
 (** Index drawn proportionally to non-negative [weights] with a
-    positive sum. *)
+    positive (so not NaN) sum. *)
 
 val zipf : Rng.t -> n:int -> s:float -> int
 (** Zipf-distributed rank in [0, n-1] with exponent [s ≥ 0] — used to
@@ -73,4 +77,5 @@ val subgaussian_sigma : subgaussian -> float
 
 val on_sphere : Rng.t -> dim:int -> radius:float -> Dm_linalg.Vec.t
 (** Uniform on the radius-[radius] sphere in Rⁿ — how the evaluation
-    draws the hidden weight vector θ* with ‖θ*‖ = √(2n). *)
+    draws the hidden weight vector θ* with ‖θ*‖ = √(2n).  Requires
+    [radius ≥ 0]. *)

@@ -63,12 +63,14 @@ let draw_fields rng =
     ("hour_band", hour_bands.(Dist.zipf rng ~n:6 ~s:0.4));
   ]
 
+let draw rng =
+  let fields = draw_fields rng in
+  let p = sigmoid (log_odds fields) in
+  { fields; clicked = Dist.bernoulli rng ~p }
+
 let generate rng ~rounds =
   if rounds < 1 then invalid_arg "Avazu.generate: need at least one round";
-  Array.init rounds (fun _ ->
-      let fields = draw_fields rng in
-      let p = sigmoid (log_odds fields) in
-      { fields; clicked = Dist.bernoulli rng ~p })
+  Array.init rounds (fun _ -> draw rng)
 
 (* A constant bias feature lets FTRL park the base click rate in one
    bucket instead of smearing it over every frequent field value —

@@ -23,9 +23,16 @@ type impression = {
 
 val field_names : string array
 
+val draw : Dm_prob.Rng.t -> impression
+(** One labelled impression: its fields, then its click.  A stream
+    drawn one impression at a time consumes the generator exactly as
+    {!generate} does, so a consumer can encode each impression as it
+    is drawn instead of holding the whole raw stream. *)
+
 val generate : Dm_prob.Rng.t -> rounds:int -> impression array
-(** [rounds] labelled impressions (the real dataset has 404M; the
-    experiments here train on a few hundred thousand). *)
+(** [rounds] labelled impressions, made by {!draw} one after another
+    (the real dataset has 404M; the experiments here train on a few
+    hundred thousand).  Raises [Invalid_argument] when [rounds < 1]. *)
 
 val encode : dim:int -> impression -> Dm_ml.Hashing.feature list
 (** One-hot hashing of every field into [dim] buckets — the paper's

@@ -8,6 +8,9 @@ module Model = Dm_market.Model
 module Noisy_query = Dm_apps.Noisy_query
 module Rental = Dm_apps.Rental
 module Impression = Dm_apps.Impression
+module Ellipsoid = Dm_market.Ellipsoid
+module Avazu = Dm_synth.Avazu
+module Hashing = Dm_ml.Hashing
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -257,6 +260,56 @@ let test_impression_dense_converges_faster () =
   check_bool "dense explores less" true
     (dense.Broker.exploratory < sparse.Broker.exploratory)
 
+let test_impression_validation () =
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  check_bool "no training round" true
+    (raises (fun () ->
+         Impression.make ~train_rounds:0 ~seed:1 ~dim:64 ~rounds:10 ()));
+  check_bool "negative training rounds" true
+    (raises (fun () ->
+         Impression.make ~train_rounds:(-5) ~seed:1 ~dim:64 ~rounds:10 ()));
+  check_bool "dim below 2" true
+    (raises (fun () -> Impression.make ~seed:1 ~dim:1 ~rounds:10 ()));
+  check_bool "no pricing round" true
+    (raises (fun () -> Impression.make ~seed:1 ~dim:64 ~rounds:0 ()))
+
+(* App 3's quote path at n = 1024, as dmbench's app3-n1024 runs it:
+   hash an impression into a sparse feature list, densify it, price it.
+   The dense vector (1,024 floats) goes straight to the major heap, so
+   the count is the feature list (~74 words for ten pairs) and the
+   decide (~48).  Hashing through concatenated strings and a table
+   cost ~1,410 words per request. *)
+let app3_quote_minor_words_bound = 122.
+
+let test_app3_quote_allocation () =
+  let dim = 1_024 and calls = 256 in
+  let imps = Avazu.generate (Dm_prob.Rng.create 2027) ~rounds:calls in
+  let mech =
+    Mechanism.create
+      (Mechanism.config ~variant:Mechanism.pure
+         ~epsilon:(float_of_int (dim * dim) /. 100_000.)
+         ())
+      (Ellipsoid.ball ~dim ~radius:5.)
+  in
+  let quote imp =
+    Mechanism.decide mech
+      ~x:(Hashing.to_dense ~dim (Avazu.encode ~dim imp))
+      ~reserve:0.
+  in
+  ignore (Sys.opaque_identity (quote imps.(0)));
+  let w0 = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    ignore (Sys.opaque_identity (quote imps.(i)))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  check_bool
+    (Printf.sprintf "%.1f minor words per request <= %.0f" per_call
+       app3_quote_minor_words_bound)
+    true
+    (per_call <= app3_quote_minor_words_bound)
+
 (* ------------------------------------------------------------------ *)
 
 let () = Test_env.install_pool_from_env ()
@@ -296,5 +349,8 @@ let () =
             test_impression_values_are_probabilities;
           Alcotest.test_case "dense converges faster" `Slow
             test_impression_dense_converges_faster;
+          Alcotest.test_case "validation" `Quick test_impression_validation;
+          Alcotest.test_case "quote allocation" `Quick
+            test_app3_quote_allocation;
         ] );
     ]

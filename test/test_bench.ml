@@ -311,6 +311,71 @@ let test_config_mismatch_flags_removed_critical () =
   check_int "removed critical key flagged" 1 total;
   check_bool "flagged as removed" true (contains out "REGRESSION (removed)")
 
+(* A record at scale 0.01, jobs 2, cores 2, built by the dune
+   [profile] given: one timing kernel and, with [~critical:true], one
+   critical stage-2 key. *)
+let profile_fixture ~stamp ~profile ~matvec ~critical =
+  Printf.sprintf
+    {|{ "schema": "dm-bench/1", "stamp": "%s",
+        "scale": 0.01, "jobs": 2, "jobs_requested": 2, "cores": 2,
+        "profile": "%s",
+        "stage1_wall_clock_s": [ { "artifact": "fig4", "seconds": 1 } ],
+        "stage2_ns_per_call": [
+          { "benchmark": "kernel matvec n1024", "ns": %g }%s ] }|}
+    stamp profile matvec
+    (if critical then
+       {|, { "benchmark": "pricing/sparse_cut n1024 nnz23", "ns": 5e4 }|}
+     else "")
+
+let test_profile_mismatch () =
+  let dev =
+    parse_exn (profile_fixture ~stamp:"dev" ~profile:"dev" ~matvec:800. ~critical:true)
+  in
+  let release =
+    parse_exn
+      (profile_fixture ~stamp:"release" ~profile:"release" ~matvec:8000.
+         ~critical:true)
+  in
+  check_bool "profile parsed" true
+    (dev.Record.profile = Some "dev" && release.Record.profile = Some "release");
+  check_bool "only the profile differs" true
+    (Record.config_differences dev release = [ "profile dev vs release" ]);
+  let total, out =
+    render (fun ppf -> Record.compare_records ppf ~threshold:0.25 dev release)
+  in
+  check_int "10x timing across profiles not flagged" 0 total;
+  check_bool "mismatch notice" true (contains out "configurations differ");
+  check_bool "no timing rows" false (contains out "kernel matvec n1024");
+  let dropped =
+    parse_exn
+      (profile_fixture ~stamp:"release" ~profile:"release" ~matvec:800.
+         ~critical:false)
+  in
+  let total, out =
+    render (fun ppf -> Record.compare_records ppf ~threshold:0.25 dev dropped)
+  in
+  check_int "removed critical key still flagged" 1 total;
+  check_bool "flagged as removed" true (contains out "REGRESSION (removed)");
+  (* One profile on both sides: timings compared as before. *)
+  let dev2 =
+    parse_exn
+      (profile_fixture ~stamp:"dev2" ~profile:"dev" ~matvec:1200. ~critical:true)
+  in
+  check_bool "same profile" true (Record.config_differences dev dev2 = []);
+  let total, _ =
+    render (fun ppf -> Record.compare_records ppf ~threshold:0.25 dev dev2)
+  in
+  check_int "the +50% kernel is flagged" 1 total;
+  (* Records written before the field existed are not told apart. *)
+  let no_profile =
+    parse_exn
+      (config_fixture ~stamp:"older" ~scale:0.01 ~jobs:2 ~cores:2 ~fig4:1.0
+         ~matvec:800. ~critical:true)
+  in
+  check_bool "missing profile not compared" true
+    (no_profile.Record.profile = None
+    && Record.config_differences no_profile release = [])
+
 (* Two records of one configuration (scale 0.01, jobs 2, cores 2) with
    a timing key and two count keys. *)
 let count_fixture ~stamp ~matvec ~phi_words ~fsyncs =
@@ -450,5 +515,7 @@ let () =
             test_count_drop_not_flagged;
           Alcotest.test_case "count gate leaves timings" `Quick
             test_count_gate_leaves_timings;
+          Alcotest.test_case "build profile mismatch skips timings" `Quick
+            test_profile_mismatch;
         ] );
     ]

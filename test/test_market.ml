@@ -2967,6 +2967,109 @@ let streamed_cut_props =
           [ (8, 1_250, 1, 1_000); (128, 1_250, 1, 1_000); (1024, 60, 30, 30) ]);
   ]
 
+(* [Ellipsoid.bounds] as it was before its sparse view also read
+   [mid]: the view for the quadratic form only, xᵀc as the dense
+   [Vec.dot]. *)
+let reference_bounds (e : Ellipsoid.t) ~x =
+  let qm =
+    match if e.Ellipsoid.dim >= 64 then Vec.Sparse.of_dense x else None with
+    | Some sx -> Mat.quad_sparse e.Ellipsoid.shape sx
+    | None -> Mat.quad e.Ellipsoid.shape x
+  in
+  let q = e.Ellipsoid.scale *. qm in
+  let half_width = if q <= 0. then 0. else sqrt q in
+  let mid = Vec.dot x e.Ellipsoid.center in
+  {
+    Ellipsoid.lower = mid -. half_width;
+    upper = mid +. half_width;
+    mid;
+    half_width;
+  }
+
+let same_bounds (a : Ellipsoid.bounds) (b : Ellipsoid.bounds) =
+  bits a.Ellipsoid.lower = bits b.Ellipsoid.lower
+  && bits a.Ellipsoid.upper = bits b.Ellipsoid.upper
+  && bits a.Ellipsoid.mid = bits b.Ellipsoid.mid
+  && bits a.Ellipsoid.half_width = bits b.Ellipsoid.half_width
+
+(* [nnz] draws of either sign at random coordinates, then three −0
+   entries (the view skips them as it skips +0). *)
+let signed_dir rng ~dim ~nnz =
+  let x = Vec.zeros dim in
+  for _ = 1 to nnz do
+    x.(Rng.int rng dim) <- Dist.normal rng ~mean:0. ~std:2.
+  done;
+  for _ = 1 to 3 do
+    x.(Rng.int rng dim) <- -0.
+  done;
+  x
+
+(* From a center with +0, −0, negative and positive entries, [cuts]
+   sparse in-place cuts (so the shape is scaled), comparing [bounds]
+   with the reference before the first cut and after each one, along
+   directions with 1 nonzero up to n/8 (the view) and n/4 and n (the
+   dense branch).  Returns the final scale, or the first
+   disagreement. *)
+let bounds_run ~seed ~dim ~cuts =
+  let rng = Rng.create seed in
+  let center =
+    Array.init dim (fun _ ->
+        match Rng.int rng 4 with
+        | 0 -> 0.
+        | 1 -> -0.
+        | 2 -> -.Rng.float rng
+        | _ -> Rng.float rng)
+  in
+  let e = ref (Ellipsoid.make ~center ~shape:(Mat.scaled_identity dim 4.)) in
+  let pool = Array.init (max 4 (dim / 10)) (fun _ -> Rng.int rng dim) in
+  let failure = ref None in
+  let check step =
+    List.iter
+      (fun nnz ->
+        let x = signed_dir rng ~dim ~nnz in
+        if
+          !failure = None
+          && not (same_bounds (Ellipsoid.bounds !e ~x) (reference_bounds !e ~x))
+        then
+          failure :=
+            Some (Printf.sprintf "after %d cuts, %d draws: bounds differ" step nnz))
+      [ 1; 3; 10; dim / 8; dim / 4; dim ]
+  in
+  check 0;
+  let step = ref 0 in
+  while !failure = None && !step < cuts do
+    incr step;
+    let x = skewed_dir rng ~pool ~nnz:(max 1 (min 10 (dim / 9))) ~dim in
+    let b = Ellipsoid.bounds !e ~x in
+    let alpha = 0.6 *. Rng.float rng in
+    (if Rng.bool rng then
+       e :=
+         Ellipsoid.apply !e
+           (Ellipsoid.cut_below ~mutate:true !e ~x
+              ~price:(b.Ellipsoid.mid -. (alpha *. b.Ellipsoid.half_width)))
+     else
+       e :=
+         Ellipsoid.apply !e
+           (Ellipsoid.cut_above ~mutate:true !e ~x
+              ~price:(b.Ellipsoid.mid +. (alpha *. b.Ellipsoid.half_width))));
+    check !step
+  done;
+  match !failure with Some msg -> Error msg | None -> Ok (Ellipsoid.scale !e)
+
+let bounds_props =
+  [
+    prop "bounds bit-match the dense-dot formula (dims 64, 128, 1024)" 3
+      QCheck.(int_range 1 1_000_000)
+      (fun seed ->
+        List.for_all
+          (fun dim ->
+            match bounds_run ~seed ~dim ~cuts:40 with
+            | Ok scale when scale <> 1. -> true
+            | Ok _ -> QCheck.Test.fail_reportf "dim %d: shape never scaled" dim
+            | Error msg -> QCheck.Test.fail_reportf "dim %d: %s" dim msg)
+          [ 64; 128; 1024 ]);
+  ]
+
 (* The dense cut as it was before it read xᵀMx from its own M·x: a
    copy of [bounds]' quadratic form for the half-width (the gathered
    form at dim ≥ 64 when x is sparse), then a second O(n²) pass for
@@ -3699,7 +3802,7 @@ let () =
           Alcotest.test_case "asymmetric snapshots refused" `Quick
             test_asymmetric_snapshots_refused;
         ]
-        @ sparse_equivalence_props @ streamed_cut_props );
+        @ sparse_equivalence_props @ streamed_cut_props @ bounds_props );
       ( "robust",
         [
           Alcotest.test_case "snapshot resume across a switch" `Quick

@@ -24,6 +24,12 @@ let prop name count arb f =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count:(Test_env.qcheck_count count) arb f)
 
+let float_bits_eq a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let bits_equal_vec a b =
+  Array.length a = Array.length b && Array.for_all2 float_bits_eq a b
+
 (* ------------------------------------------------------------------ *)
 (* Categorical                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -108,6 +114,204 @@ let hashing_props =
           (fun f -> dense.(f.Hashing.index) = f.Hashing.value)
           fs);
   ]
+
+(* [Hashing] as it stood before [encode] stopped concatenating strings
+   and counting in a table, kept verbatim (its boxing hash loop
+   included): the library must reproduce it bit for bit on every
+   input. *)
+module Reference_hashing = struct
+  type feature = Hashing.feature = { index : int; value : float }
+
+  let fnv1a64 s =
+    let open Int64 in
+    let h = ref 0xCBF29CE484222325L in
+    String.iter
+      (fun ch ->
+        h := logxor !h (of_int (Char.code ch));
+        h := mul !h 0x100000001B3L)
+      s;
+    !h
+
+  let bucket ~dim key =
+    if dim < 1 then invalid_arg "Hashing.bucket: dim must be >= 1";
+    let h = fnv1a64 key in
+    let positive = Int64.shift_right_logical h 1 in
+    Int64.to_int (Int64.rem positive (Int64.of_int dim))
+
+  let encode ~dim fields =
+    let tbl = Hashtbl.create 16 in
+    List.iter
+      (fun (field, value) ->
+        let b = bucket ~dim (field ^ "=" ^ value) in
+        let prev = match Hashtbl.find_opt tbl b with Some v -> v | None -> 0. in
+        Hashtbl.replace tbl b (prev +. 1.))
+      fields;
+    Hashtbl.fold (fun index value acc -> { index; value } :: acc) tbl []
+    |> List.sort (fun a b -> compare a.index b.index)
+
+  let to_dense ~dim features =
+    let v = Dm_linalg.Vec.zeros dim in
+    List.iter
+      (fun { index; value } ->
+        if index < 0 || index >= dim then
+          invalid_arg "Hashing.to_dense: index out of range";
+        Dm_linalg.Vec.set v index value)
+      features;
+    v
+end
+
+let same_features (a : Hashing.feature list) (b : Hashing.feature list) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Hashing.feature) (y : Hashing.feature) ->
+         x.Hashing.index = y.Hashing.index
+         && float_bits_eq x.Hashing.value y.Hashing.value)
+       a b
+
+(* The outcome of [f] compared by value or by the exception raised. *)
+let outcome f = match f () with v -> Ok v | exception e -> Error e
+
+(* Field lists over every byte, with ['='] frequent enough that pairs
+   like ("a=", "b") and ("a", "=b") share a key; pairs drawn from a
+   small pool so duplicates are common; lengths on both sides of the
+   insertion-sort limit (32) and well past it; the empty list; and
+   moduli from 1 (every pair collides) to 2²⁰. *)
+let hashing_case_arb =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (6, map Char.chr (int_range 0 255));
+        (2, return '=');
+        (2, oneofl [ 'a'; 'b'; '0' ]);
+      ]
+  in
+  let str = string_size ~gen:byte (int_range 0 8) in
+  let gen =
+    let* dim = oneofl [ 1; 2; 3; 7; 64; 1024; 1 lsl 20 ] in
+    let* pool = list_size (int_range 1 6) (pair str str) in
+    let* len =
+      frequency
+        [
+          (2, return 0);
+          (6, int_range 1 12);
+          (2, int_range 30 34);
+          (1, int_range 60 300);
+        ]
+    in
+    let* fields =
+      list_repeat len (frequency [ (1, pair str str); (1, oneofl pool) ])
+    in
+    return (dim, fields)
+  in
+  QCheck.make
+    ~print:(fun (dim, fields) ->
+      Printf.sprintf "dim %d: [%s]" dim
+        (String.concat "; "
+           (List.map (fun (f, v) -> Printf.sprintf "(%S, %S)" f v) fields)))
+    gen
+
+let hashing_reference_props =
+  [
+    prop "encode bit-matches the string-and-table reference" 500
+      hashing_case_arb
+      (fun (dim, fields) ->
+        let got = Hashing.encode ~dim fields in
+        same_features got (Reference_hashing.encode ~dim fields)
+        && bits_equal_vec
+             (Hashing.to_dense ~dim got)
+             (Reference_hashing.to_dense ~dim got));
+    prop "fnv1a64 and bucket match the reference" 300
+      QCheck.(pair (int_range 1 (1 lsl 20)) (string_gen (Gen.map Char.chr (Gen.int_range 0 255))))
+      (fun (dim, s) ->
+        Int64.equal (Hashing.fnv1a64 s) (Reference_hashing.fnv1a64 s)
+        && Hashing.bucket ~dim s = Reference_hashing.bucket ~dim s);
+  ]
+
+let test_fnv1a64_published_vectors () =
+  (* The FNV-1a 64-bit test vectors of the FNV reference code. *)
+  List.iter
+    (fun (s, h) ->
+      check_bool (Printf.sprintf "fnv1a64 %S" s) true
+        (Int64.equal (Hashing.fnv1a64 s) h))
+    [
+      ("", 0xcbf29ce484222325L);
+      ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L);
+    ]
+
+let test_hashing_encode_edges () =
+  let all_bytes = String.init 256 Char.chr in
+  let cases =
+    [
+      (0, []);
+      (1, []);
+      (0, [ ("a", "b") ]);
+      (-3, [ ("a", "b") ]);
+      (1, [ ("a", "b"); ("c", "d") ]);
+      (64, [ ("a=", "b"); ("a", "=b"); ("a", "b") ]);
+      (64, [ ("=", "="); ("", "=="); ("==", "") ]);
+      (1024, [ (all_bytes, ""); ("", all_bytes); (all_bytes, all_bytes) ]);
+      (7, List.init 40 (fun i -> (string_of_int (i mod 5), "v")));
+    ]
+  in
+  List.iter
+    (fun (dim, fields) ->
+      let name = Printf.sprintf "dim %d, %d pairs" dim (List.length fields) in
+      match
+        ( outcome (fun () -> Hashing.encode ~dim fields),
+          outcome (fun () -> Reference_hashing.encode ~dim fields) )
+      with
+      | Ok got, Ok want -> check_bool name true (same_features got want)
+      | Error e, Error e' -> check_bool (name ^ ": same error") true (e = e')
+      | _ -> Alcotest.failf "%s: one side raised" name)
+    cases;
+  (* "a=" ^ "b" and "a" ^ "=b" are one key: a count of two. *)
+  check_bool "'=' inside a field collides" true
+    (match Hashing.encode ~dim:64 [ ("a=", "b"); ("a", "=b") ] with
+    | [ { Hashing.value = 2.; _ } ] -> true
+    | _ -> false)
+
+(* App 3's set-up, streamed, against the parent's: every training
+   impression generated up front, encoded through the reference, and
+   FTRL trained on the result with [Impression.make]'s parameters. *)
+let test_impression_setup_streamed () =
+  let module Impression = Dm_apps.Impression in
+  let module Avazu = Dm_synth.Avazu in
+  let seed = 41 and dim = 1024 and train_rounds = 2000 and rounds = 300 in
+  let imp = Impression.make ~train_rounds ~seed ~dim ~rounds () in
+  let root = Rng.create seed in
+  let train_rng = Rng.split root in
+  let price_rng = Rng.split root in
+  let encode i = Reference_hashing.encode ~dim (("bias", "1") :: i.Avazu.fields) in
+  let examples =
+    Array.map
+      (fun i -> (encode i, i.Avazu.clicked))
+      (Avazu.generate train_rng ~rounds:train_rounds)
+  in
+  let ftrl =
+    Ftrl.create
+      ~params:
+        {
+          Ftrl.alpha = 0.1;
+          beta = 1.;
+          l1 = 0.8 *. sqrt (float_of_int train_rounds);
+          l2 = 1.;
+        }
+      ~dim ()
+  in
+  Ftrl.train ftrl examples ~epochs:2;
+  check_bool "theta bits" true
+    (bits_equal_vec (Ftrl.weights ftrl)
+       imp.Impression.sparse_model.Dm_market.Model.theta);
+  check_int "nonzeros" (Ftrl.nonzeros ftrl) imp.Impression.theta_nonzeros;
+  check_bool "log loss bits" true
+    (float_bits_eq (Ftrl.log_loss ftrl examples) imp.Impression.train_log_loss);
+  let pricing = Avazu.generate price_rng ~rounds in
+  check_bool "pricing stream bits" true
+    (Array.for_all2
+       (fun i x -> bits_equal_vec (Reference_hashing.to_dense ~dim (encode i)) x)
+       pricing imp.Impression.sparse_stream)
 
 (* ------------------------------------------------------------------ *)
 (* Linreg                                                              *)
@@ -240,6 +444,21 @@ let test_ftrl_validation () =
     (match Ftrl.create ~dim:0 () with
     | _ -> false
     | exception Invalid_argument _ -> true)
+
+let test_ftrl_validation_nan () =
+  let base = { Ftrl.alpha = 0.1; beta = 1.; l1 = 1.; l2 = 1. } in
+  List.iter
+    (fun (name, params) ->
+      check_bool (name ^ " NaN refused") true
+        (match Ftrl.create ~params ~dim:4 () with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("alpha", { base with Ftrl.alpha = Float.nan });
+      ("beta", { base with Ftrl.beta = Float.nan });
+      ("l1", { base with Ftrl.l1 = Float.nan });
+      ("l2", { base with Ftrl.l2 = Float.nan });
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Logreg (batch)                                                      *)
@@ -381,12 +600,6 @@ let test_pca_transform_into_and_all () =
 
 module Subspace = Dm_ml.Subspace
 module Pool = Dm_linalg.Pool
-
-let bits_equal_vec a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a b
 
 let with_default_pool jobs f =
   Pool.with_pool ~jobs (fun p ->
@@ -867,7 +1080,15 @@ let () =
           Alcotest.test_case "dense dot" `Quick test_hashing_dense_dot;
           Alcotest.test_case "normalize" `Quick test_hashing_normalize;
         ]
-        @ hashing_props );
+        @ hashing_props @ hashing_reference_props
+        @ [
+            Alcotest.test_case "fnv1a64 published vectors" `Quick
+              test_fnv1a64_published_vectors;
+            Alcotest.test_case "encode edge cases match the reference" `Quick
+              test_hashing_encode_edges;
+            Alcotest.test_case "streamed impression set-up matches the reference"
+              `Quick test_impression_setup_streamed;
+          ] );
       ( "linreg",
         [
           Alcotest.test_case "exact recovery" `Quick test_linreg_exact_recovery;
@@ -883,6 +1104,8 @@ let () =
           Alcotest.test_case "closed form at init" `Quick test_ftrl_weight_closed_form;
           Alcotest.test_case "prediction range" `Quick test_ftrl_prediction_range;
           Alcotest.test_case "validation" `Quick test_ftrl_validation;
+          Alcotest.test_case "validation refuses NaN" `Quick
+            test_ftrl_validation_nan;
         ] );
       ( "logreg",
         [

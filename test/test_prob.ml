@@ -401,6 +401,50 @@ let subgaussian_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* NaN parameters                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Each sampler's parameter check refuses NaN, which answers false to
+   every comparison and so slipped past the [x < 0.] form. *)
+let refuses_nan name f =
+  check_bool (name ^ " refuses NaN") true
+    (match f (Rng.create 3) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let test_normal_nan () =
+  refuses_nan "normal std" (fun rng -> Dist.normal rng ~mean:0. ~std:nan)
+
+let test_laplace_nan () =
+  refuses_nan "laplace scale" (fun rng -> Dist.laplace rng ~scale:nan)
+
+let test_exponential_nan () =
+  refuses_nan "exponential rate" (fun rng -> Dist.exponential rng ~rate:nan)
+
+let test_student_t_nan () =
+  refuses_nan "student_t scale" (fun rng ->
+      Dist.student_t rng ~dof:3. ~scale:nan)
+
+let test_pareto_nan () =
+  refuses_nan "pareto scale" (fun rng -> Dist.pareto rng ~alpha:2. ~scale:nan)
+
+let test_on_sphere_nan () =
+  refuses_nan "on_sphere radius" (fun rng ->
+      Dist.on_sphere rng ~dim:3 ~radius:nan)
+
+let test_bernoulli_nan () =
+  refuses_nan "bernoulli p" (fun rng -> Dist.bernoulli rng ~p:nan)
+
+let test_categorical_nan () =
+  refuses_nan "categorical weight" (fun rng ->
+      Dist.categorical rng ~weights:[| 1.; nan; 1. |])
+
+let test_zipf_nan () =
+  (* 1 ** NaN = 1, so the first weight stays finite and only the sum
+     check could see it. *)
+  refuses_nan "zipf exponent" (fun rng -> Dist.zipf rng ~n:4 ~s:nan)
+
+(* ------------------------------------------------------------------ *)
 
 let () = Test_env.install_pool_from_env ()
 
@@ -429,7 +473,23 @@ let () =
           Alcotest.test_case "on sphere" `Quick test_on_sphere;
           Alcotest.test_case "subgaussian kinds" `Quick test_subgaussian_kinds;
         ]
-        @ dist_props );
+        @ dist_props
+        @ [
+            Alcotest.test_case "normal refuses NaN" `Quick test_normal_nan;
+            Alcotest.test_case "laplace refuses NaN" `Quick test_laplace_nan;
+            Alcotest.test_case "exponential refuses NaN" `Quick
+              test_exponential_nan;
+            Alcotest.test_case "student_t refuses NaN" `Quick
+              test_student_t_nan;
+            Alcotest.test_case "pareto refuses NaN" `Quick test_pareto_nan;
+            Alcotest.test_case "on_sphere refuses NaN" `Quick
+              test_on_sphere_nan;
+            Alcotest.test_case "bernoulli refuses NaN" `Quick
+              test_bernoulli_nan;
+            Alcotest.test_case "categorical refuses NaN" `Quick
+              test_categorical_nan;
+            Alcotest.test_case "zipf refuses NaN" `Quick test_zipf_nan;
+          ] );
       ( "stats",
         [
           Alcotest.test_case "online vs batch" `Quick test_online_matches_batch;
