@@ -116,7 +116,6 @@ let stage1_artifacts =
     ("stress", fun ppf -> Dm_experiments.Stress.degradation ~scale ~jobs ppf);
     ( "auction",
       fun ppf -> Dm_experiments.Auction.revenue_vs_opt ~scale ~jobs ppf );
-    ("longrun", fun ppf -> Dm_experiments.Longrun.report ~scale ~jobs ppf);
     ("recover", fun ppf -> Dm_experiments.Recover.report ~scale ~jobs ppf);
     ("fleet", fun ppf -> Dm_experiments.Fleet.report ~scale ~jobs ppf);
     ("serve", fun ppf -> Dm_experiments.Serve.report ~scale ~jobs ppf);
@@ -626,7 +625,7 @@ let stage2 () =
 (* Journal-overhead stage                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Rounds/s of the longrun market with the dm_store journal off, on
+(* Rounds/s of the replay market with the dm_store journal off, on
    without per-record fsync, and fsync-every-record, then the
    multi-tenant fleet with its group-commit journal.  The entries join
    the stage-2 JSON under the "journal/" prefix that
@@ -635,10 +634,10 @@ let stage2 () =
 let journal_stage () =
   Format.fprintf ppf
     "==================================================================@.";
-  Format.fprintf ppf "Journal overhead: longrun market, dm_store sink@.";
+  Format.fprintf ppf "Journal overhead: replay market, dm_store sink@.";
   Format.fprintf ppf
     "==================================================================@.@.";
-  let rounds = Dm_experiments.Longrun.scaled_rounds scale 400_000 in
+  let rounds = Dm_experiments.Replay_market.scaled_rounds scale 400_000 in
   let entries = Dm_experiments.Recover.journal_overhead ~rounds () in
   let ns name = List.assoc name entries in
   let off = ns "journal/longrun_off" in
@@ -654,14 +653,14 @@ let journal_stage () =
     ~title:
       (Printf.sprintf
          "journal overhead at %d rounds (n = %d, best of 3 interleaved passes)"
-         rounds Dm_experiments.Longrun.default_dim)
+         rounds Dm_experiments.Replay_market.default_dim)
     ~header:[ "mode"; "ns/round"; "rounds/s"; "vs off" ]
     (List.map (fun (name, v) -> row name v) entries);
   (* Group-commit amortization: every tenant-round is fully durable
      (like fsync-every-record above), but one group fsync covers a
      whole cross-tenant batch, so fsyncs-per-round must come out
      orders of magnitude below the solo fsync mode's 1.0. *)
-  let fleet_rounds = Dm_experiments.Longrun.scaled_rounds scale 2_000 in
+  let fleet_rounds = Dm_experiments.Replay_market.scaled_rounds scale 2_000 in
   let fleet_entries =
     Dm_experiments.Fleet.journal_amortization ~rounds:fleet_rounds ()
   in

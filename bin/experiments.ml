@@ -160,13 +160,6 @@ let rank_cmd =
   simple "rank" "Feature-stream effective-rank diagnostics"
     (fun ~pool:_ ~scale:_ ~seed ~jobs:_ -> Dm_experiments.Diagnostics.report ~seed ppf)
 
-let longrun_cmd =
-  simple "longrun"
-    "Long-horizon sharded broker: 10^6-round stream, exact merge verified \
-     against the sequential reference"
-    (fun ~pool ~scale ~seed ~jobs ->
-      Dm_experiments.Longrun.report ?pool ~scale ~seed ~jobs ppf)
-
 let recover_cmd =
   simple "recover"
     "Crash recovery: journaled run killed mid-stream, recovered from \
@@ -245,7 +238,6 @@ let all_cmd =
             Dm_experiments.Baselines.seed_robustness ?pool ~scale ~seed ~jobs ppf;
             Dm_experiments.Stress.degradation ?pool ~scale ~seed ~jobs ppf;
             Dm_experiments.Auction.revenue_vs_opt ?pool ~scale ~seed ~jobs ppf;
-            Dm_experiments.Longrun.report ?pool ~scale ~seed ~jobs ppf;
             Dm_experiments.Recover.report ?pool ~scale ~seed ~jobs ppf;
             Dm_experiments.Fleet.report ?pool ~scale ~seed ~jobs ppf;
             Dm_experiments.Serve.report ?pool ~scale ~seed ~jobs ppf;
@@ -272,8 +264,7 @@ let () =
             fig5c_hd_cmd;
             coldstart_cmd; lemma8_cmd; theorem3_cmd; theorem2_cmd; lemma2_cmd;
             lemma45_cmd; overhead_cmd; ablation_cmd; baselines_cmd;
-            robustness_cmd; stress_cmd; auction_cmd; longrun_cmd; recover_cmd;
-            fleet_cmd;
+            robustness_cmd; stress_cmd; auction_cmd; recover_cmd; fleet_cmd;
             serve_cmd; rank_cmd;
             all_cmd;
           ]))

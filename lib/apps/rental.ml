@@ -76,8 +76,8 @@ let make ?(rows = 74_111) ~seed () =
   }
 
 let workload t ~ratio =
-  if ratio < 0. || ratio >= 1. then
-    invalid_arg "Rental.workload: ratio must be in [0, 1)";
+  if not (ratio >= 0. && ratio < 1.) then
+    invalid_arg "Rental.workload: ratio must be in [0, 1), not NaN";
   fun i ->
     let x = Mat.row t.features i in
     let log_v = Model.index t.model x in

@@ -1,5 +1,4 @@
 module Vec = Dm_linalg.Vec
-module Pool = Dm_linalg.Pool
 module Stats = Dm_prob.Stats
 
 type custom_policy = {
@@ -87,17 +86,17 @@ let uses_reserve = function
   | Ellipsoid_pricing m -> (Mechanism.config_of m).Mechanism.variant.use_reserve
   | Custom c -> c.uses_reserve
 
-(* The checkpoint-consumption loops assume strictly increasing 1-based
+(* The checkpoint-consumption loop assumes strictly increasing 1-based
    rounds; a malformed array would silently drop checkpoints and leave
    zeroed series entries. *)
-let resolve_checkpoints ~fname ~rounds = function
+let resolve_checkpoints ~rounds = function
   | Some c ->
       Array.iteri
         (fun i cp ->
           if cp < 1 || cp > rounds then
-            invalid_arg (fname ^ ": checkpoint outside [1, rounds]");
+            invalid_arg "Broker.run: checkpoint outside [1, rounds]";
           if i > 0 && cp <= c.(i - 1) then
-            invalid_arg (fname ^ ": checkpoints must be strictly increasing"))
+            invalid_arg "Broker.run: checkpoints must be strictly increasing")
         c;
       c
   | None -> default_checkpoints ~rounds
@@ -106,9 +105,7 @@ let run ?checkpoints ?(record_rounds = false) ?journal ~policy ~model ~noise
     ~workload ~rounds () =
   if rounds < 1 then invalid_arg "Broker.run: need at least one round";
   let journaling = Option.is_some journal in
-  let checkpoints =
-    resolve_checkpoints ~fname:"Broker.run" ~rounds checkpoints
-  in
+  let checkpoints = resolve_checkpoints ~rounds checkpoints in
   let n_checks = Array.length checkpoints in
   let cum_regret_at = Array.make n_checks 0. in
   let cum_value_at = Array.make n_checks 0. in
@@ -268,316 +265,4 @@ let run ?checkpoints ?(record_rounds = false) ?journal ~policy ~model ~noise
     skipped = !skipped;
     accepted_rounds = !accepted_rounds;
     logs = Option.map (fun cell -> Array.of_list (List.rev !cell)) logs;
-  }
-
-type shard_mode = Exact | Warm_start of { stride : int }
-
-(* Kind codes for the per-round scratch arrays of [run_sharded]: a
-   [kind] is stored as an int so the array is unboxed. *)
-let code_skip = 0
-and code_exploratory = 1
-and code_conservative = 2
-and code_baseline = 3
-
-let kind_of_code = function
-  | 0 -> Skipped
-  | 1 -> Exploratory
-  | 2 -> Conservative
-  | _ -> Baseline
-
-let run_sharded ?checkpoints ?(record_rounds = false) ?journal ?(mode = Exact)
-    ?(shards = 8) ?pool ~policy ~model ~noise ~workload ~rounds () =
-  if rounds < 1 then invalid_arg "Broker.run_sharded: need at least one round";
-  let journaling = Option.is_some journal in
-  if shards < 1 then invalid_arg "Broker.run_sharded: need at least one shard";
-  (match mode with
-  | Warm_start { stride } when stride < 1 ->
-      invalid_arg "Broker.run_sharded: warm-start stride must be positive"
-  | Warm_start _ | Exact -> ());
-  (match policy with
-  | Custom _ ->
-      invalid_arg
-        "Broker.run_sharded: Custom policies carry opaque learner state that \
-         cannot be snapshotted across shard boundaries"
-  | Risk_averse | Ellipsoid_pricing _ -> ());
-  let checkpoints =
-    resolve_checkpoints ~fname:"Broker.run_sharded" ~rounds checkpoints
-  in
-  (* The shard count is decoupled from the pool size so the output is
-     byte-identical whatever [--jobs] is in force (the repo-wide
-     determinism contract); it only changes which boundary states
-     warm-start replays from and how the per-shard Stats accumulators
-     associate. *)
-  let shards = min shards rounds in
-  let bounds = Array.init (shards + 1) (fun k -> k * rounds / shards) in
-  let pool = match pool with Some _ as p -> p | None -> Pool.get_default () in
-  let pfor ?chunk n body =
-    match pool with
-    | Some p -> Pool.parallel_for p ?chunk n body
-    | None -> if n > 0 then body 0 n
-  in
-  let theta = model.Model.theta in
-  let link = model.Model.link in
-  let with_reserve = uses_reserve policy in
-  let need_reserve_index =
-    match policy with Ellipsoid_pricing _ -> true | _ -> false
-  in
-  (* Phase A: materialize every round's inputs in parallel.  Requires
-     [workload]/[noise] to be pure functions of [t] (see the mli). *)
-  let phi = Array.make rounds theta in
-  let reserve_v = Array.make rounds 0. in
-  let reserve_ix = Array.make rounds 0. in
-  let market_ix = Array.make rounds 0. in
-  let market_v = Array.make rounds 0. in
-  pfor rounds (fun lo hi ->
-      for t = lo to hi - 1 do
-        let x_raw, q_value = workload t in
-        let p = Model.feature_map model x_raw in
-        phi.(t) <- p;
-        reserve_v.(t) <- q_value;
-        if need_reserve_index then reserve_ix.(t) <- link.Model.g_inv q_value;
-        let mi = Vec.dot p theta +. noise t in
-        market_ix.(t) <- mi;
-        market_v.(t) <- link.Model.g mi
-      done);
-  (* Phase B: the pricing decisions.  Risk-averse is stateless, so it
-     shards trivially; the ellipsoid mechanism replays sequentially in
-     exact mode, or per shard from boundary snapshots in warm-start
-     mode. *)
-  let kindc = Array.make rounds code_skip in
-  let posted = Array.make rounds 0. in
-  let accepted = Array.make rounds false in
-  (* Per-round audit fields (index-space price and decision-time
-     bounds) are only materialized when a journal sink is installed. *)
-  let pix = if journaling then Array.make rounds Float.nan else [||] in
-  let low_b = if journaling then Array.make rounds Float.nan else [||] in
-  let up_b = if journaling then Array.make rounds Float.nan else [||] in
-  (match policy with
-  | Custom _ -> assert false (* rejected above *)
-  | Risk_averse ->
-      pfor rounds (fun lo hi ->
-          for t = lo to hi - 1 do
-            kindc.(t) <- code_baseline;
-            posted.(t) <- reserve_v.(t);
-            accepted.(t) <- reserve_v.(t) <= market_v.(t);
-            if journaling then pix.(t) <- link.Model.g_inv reserve_v.(t)
-          done)
-  | Ellipsoid_pricing mech ->
-      let replay m lo hi =
-        for t = lo to hi - 1 do
-          let decision = Mechanism.decide m ~x:phi.(t) ~reserve:reserve_ix.(t) in
-          let acc =
-            match decision with
-            | Mechanism.Skip -> false
-            | Mechanism.Post { price; _ } -> price <= market_ix.(t)
-          in
-          Mechanism.observe m ~x:phi.(t) decision ~accepted:acc;
-          accepted.(t) <- acc;
-          match decision with
-          | Mechanism.Skip -> kindc.(t) <- code_skip
-          | Mechanism.Post { price; kind; lower; upper } ->
-              kindc.(t) <-
-                (match kind with
-                | Mechanism.Exploratory -> code_exploratory
-                | Mechanism.Conservative -> code_conservative);
-              posted.(t) <- link.Model.g price;
-              if journaling then begin
-                pix.(t) <- price;
-                low_b.(t) <- lower;
-                up_b.(t) <- upper
-              end
-        done
-      in
-      (match mode with
-      | Exact -> replay mech 0 rounds
-      | Warm_start { stride } ->
-          let snaps = Array.make shards (Mechanism.snapshot mech) in
-          (* Skeleton pass: walk the stream once on the caller's
-             mechanism, observing every [stride]-th round, and snapshot
-             the state at each shard boundary.  Rounds past the last
-             boundary cannot influence any snapshot, so stop there. *)
-          let skeleton_end = bounds.(shards - 1) in
-          let next_shard = ref 1 in
-          for t = 0 to skeleton_end - 1 do
-            while !next_shard < shards && bounds.(!next_shard) = t do
-              snaps.(!next_shard) <- Mechanism.snapshot mech;
-              incr next_shard
-            done;
-            if t mod stride = 0 then begin
-              let decision =
-                Mechanism.decide mech ~x:phi.(t) ~reserve:reserve_ix.(t)
-              in
-              let acc =
-                match decision with
-                | Mechanism.Skip -> false
-                | Mechanism.Post { price; _ } -> price <= market_ix.(t)
-              in
-              Mechanism.observe mech ~x:phi.(t) decision ~accepted:acc
-            end
-          done;
-          while !next_shard < shards do
-            snaps.(!next_shard) <- Mechanism.snapshot mech;
-            incr next_shard
-          done;
-          pfor ~chunk:1 shards (fun klo khi ->
-              for k = klo to khi - 1 do
-                let m =
-                  match Mechanism.restore snaps.(k) with
-                  | Ok m -> m
-                  | Error e ->
-                      failwith
-                        ("Broker.run_sharded: snapshot round-trip failed: " ^ e)
-                in
-                replay m bounds.(k) bounds.(k + 1)
-              done)));
-  (* Phase C: per-shard accounting — regret/revenue per round, plus a
-     private Stats accumulator and counter set per shard. *)
-  let regret = Array.make rounds 0. in
-  let revenue = Array.make rounds 0. in
-  let mv_st = Array.init shards (fun _ -> Stats.online_create ()) in
-  let rs_st = Array.init shards (fun _ -> Stats.online_create ()) in
-  let post_st = Array.init shards (fun _ -> Stats.online_create ()) in
-  let reg_st = Array.init shards (fun _ -> Stats.online_create ()) in
-  let expl = Array.make shards 0 in
-  let cons = Array.make shards 0 in
-  let skip = Array.make shards 0 in
-  let acc_rounds = Array.make shards 0 in
-  let logs =
-    if record_rounds then
-      Some
-        (Array.make rounds
-           {
-             index = 0;
-             reserve = 0.;
-             market_value = 0.;
-             posted = None;
-             kind = Skipped;
-             accepted = false;
-             revenue = 0.;
-             regret = 0.;
-           })
-    else None
-  in
-  pfor ~chunk:1 shards (fun klo khi ->
-      for k = klo to khi - 1 do
-        for t = bounds.(k) to bounds.(k + 1) - 1 do
-          let q_value = reserve_v.(t) and market_value = market_v.(t) in
-          let posted_opt =
-            if kindc.(t) = code_skip then None else Some posted.(t)
-          in
-          let r =
-            match posted_opt with
-            | None -> Regret.skipped ~reserve:q_value ~market_value
-            | Some p ->
-                if with_reserve then
-                  Regret.posted ~reserve:q_value ~market_value ~price:p ()
-                else Regret.posted ~market_value ~price:p ()
-          in
-          let rev =
-            match posted_opt with Some p when accepted.(t) -> p | _ -> 0.
-          in
-          regret.(t) <- r;
-          revenue.(t) <- rev;
-          if kindc.(t) = code_exploratory then expl.(k) <- expl.(k) + 1
-          else if kindc.(t) = code_conservative then cons.(k) <- cons.(k) + 1
-          else if kindc.(t) = code_skip then skip.(k) <- skip.(k) + 1;
-          if accepted.(t) then acc_rounds.(k) <- acc_rounds.(k) + 1;
-          Stats.online_add mv_st.(k) market_value;
-          Stats.online_add rs_st.(k) q_value;
-          (match posted_opt with
-          | Some p -> Stats.online_add post_st.(k) p
-          | None -> ());
-          Stats.online_add reg_st.(k) r;
-          match logs with
-          | Some arr ->
-              arr.(t) <-
-                {
-                  index = t;
-                  reserve = q_value;
-                  market_value;
-                  posted = posted_opt;
-                  kind = kind_of_code kindc.(t);
-                  accepted = accepted.(t);
-                  revenue = rev;
-                  regret = r;
-                }
-          | None -> ()
-        done
-      done);
-  (* Journal emission happens once per round, in round order, exactly
-     as [run] would — so a sink observes an identical event stream
-     from either entry point (Custom is rejected above). *)
-  (match journal with
-  | Some sink ->
-      for t = 0 to rounds - 1 do
-        let posted_opt =
-          if kindc.(t) = code_skip then None else Some posted.(t)
-        in
-        sink
-          {
-            t;
-            x = phi.(t);
-            reserve = reserve_v.(t);
-            kind = kind_of_code kindc.(t);
-            price_index = pix.(t);
-            lower = low_b.(t);
-            upper = up_b.(t);
-            posted = posted_opt;
-            accepted = accepted.(t);
-            payment = revenue.(t);
-          }
-      done
-  | None -> ());
-  (* Phase D: ordered merge.  The series and totals re-walk the
-     per-round arrays sequentially so every float addition happens in
-     the same order as [run] — merging per-shard partial sums instead
-     would drift by reassociation ulps and break the byte-identity
-     contract.  The Stats moments go through [Stats.merge], which is
-     where the documented mean/std tolerance comes from. *)
-  let n_checks = Array.length checkpoints in
-  let cum_regret_at = Array.make n_checks 0. in
-  let cum_value_at = Array.make n_checks 0. in
-  let ratio_at = Array.make n_checks 0. in
-  let next_check = ref 0 in
-  let cum_regret = ref 0. in
-  let cum_value = ref 0. in
-  let cum_revenue = ref 0. in
-  for t = 0 to rounds - 1 do
-    cum_regret := !cum_regret +. regret.(t);
-    cum_value := !cum_value +. market_v.(t);
-    cum_revenue := !cum_revenue +. revenue.(t);
-    while !next_check < n_checks && checkpoints.(!next_check) = t + 1 do
-      cum_regret_at.(!next_check) <- !cum_regret;
-      cum_value_at.(!next_check) <- !cum_value;
-      ratio_at.(!next_check) <-
-        (if !cum_value > 0. then !cum_regret /. !cum_value else 0.);
-      incr next_check
-    done
-  done;
-  let merged st =
-    Stats.summarize (Array.fold_left Stats.merge (Stats.online_create ()) st)
-  in
-  let total = Array.fold_left ( + ) 0 in
-  {
-    rounds;
-    total_regret = !cum_regret;
-    total_value = !cum_value;
-    total_revenue = !cum_revenue;
-    regret_ratio = (if !cum_value > 0. then !cum_regret /. !cum_value else 0.);
-    series =
-      {
-        checkpoints;
-        cumulative_regret = cum_regret_at;
-        cumulative_value = cum_value_at;
-        regret_ratio = ratio_at;
-      };
-    market_value_stats = merged mv_st;
-    reserve_stats = merged rs_st;
-    posted_stats = merged post_st;
-    regret_stats = merged reg_st;
-    exploratory = total expl;
-    conservative = total cons;
-    skipped = total skip;
-    accepted_rounds = total acc_rounds;
-    logs;
   }

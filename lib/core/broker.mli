@@ -124,66 +124,3 @@ val run :
     is where [Dm_store] attaches its durable journal.  The sink never
     influences pricing, accounting or randomness, so a run's result
     is byte-identical with or without it. *)
-
-type shard_mode =
-  | Exact
-      (** Inputs are precomputed in parallel; the mechanism still walks
-          the stream once sequentially, so the result — series, totals,
-          counters, logs — is byte-identical to {!run}. *)
-  | Warm_start of { stride : int }
-      (** A sequential skeleton pass observes only every [stride]-th
-          round and snapshots the mechanism at each shard boundary
-          ({!Mechanism.snapshot}); every shard then replays its full
-          range in parallel from the restored boundary state.  Shard 0
-          (and every shard at [stride = 1], where the skeleton is the
-          full walk) reproduces {!run} exactly; later shards drift by
-          whatever the skeleton's skipped observations would have
-          taught the ellipsoid.  Requires [stride ≥ 1]. *)
-
-val run_sharded :
-  ?checkpoints:int array ->
-  ?record_rounds:bool ->
-  ?journal:(event -> unit) ->
-  ?mode:shard_mode ->
-  ?shards:int ->
-  ?pool:Dm_linalg.Pool.t ->
-  policy:policy ->
-  model:Model.t ->
-  noise:(int -> float) ->
-  workload:(int -> Dm_linalg.Vec.t * float) ->
-  rounds:int ->
-  unit ->
-  result
-(** Shard-parallel variant of {!run} for single long-horizon streams:
-    the horizon is split into [shards] contiguous shards (default 8,
-    clamped to [rounds]) dispatched over [pool] (default
-    {!Dm_linalg.Pool.get_default}; sequential when no pool is
-    installed).  Input materialization and per-round accounting always
-    run shard-parallel; the mechanism pass follows [mode] (default
-    {!Exact}).  Per-shard partial results are merged in shard order:
-    counters by integer addition, the four Stats accumulators through
-    {!Dm_prob.Stats.merge} (count/min/max exact, mean/std within
-    floating-point reassociation tolerance of {!run}), and the series,
-    totals and ratio by a sequential re-walk of the per-round arrays so
-    that in exact mode [series], [total_*], [regret_ratio], counters
-    and [logs] are bit-for-bit equal to {!run} at any [shards], [pool]
-    or jobs value.
-
-    Requirements beyond {!run}: [workload], [noise] and the model's
-    feature map must be pure functions of [t] that are safe to call
-    from any domain (derive per-round values from pre-split
-    {!Dm_prob.Rng} streams or materialized tables, never from a shared
-    mutable cursor, and force any lazy backing store first).  [Custom]
-    policies raise [Invalid_argument]: their learner state is opaque,
-    so it cannot be snapshotted across shard boundaries.  In exact mode
-    a caller-supplied mechanism finishes in the same state as after
-    {!run}; in warm-start mode it is left in the skeleton's
-    intermediate state, which callers should treat as unspecified.
-    [shards] is deliberately independent of the pool size so output
-    never varies with [--jobs]; it raises [Invalid_argument] when
-    [< 1].
-
-    [journal] behaves as in {!run}: events are emitted sequentially
-    in round order (after the mechanism pass, from the merged
-    per-round arrays), and in exact mode the event stream is
-    bit-identical to the one {!run} would emit. *)

@@ -368,108 +368,6 @@ let axis_widths t =
     (fun l -> sqrt (Float.max 0. (t.scale *. l)))
     (Eigen.eigenvalues t.shape)
 
-let serialize t =
-  let buf = Buffer.create (64 + (t.dim * (t.dim + 1) * 24)) in
-  (* Scale-1 ellipsoids keep the v1 format byte-for-byte; a pending
-     scalar upgrades the snapshot to v2 with one extra scale line. *)
-  let v2 = t.scale <> 1. in
-  Buffer.add_string buf (if v2 then "ellipsoid/2\n" else "ellipsoid/1\n");
-  Buffer.add_string buf (string_of_int t.dim);
-  Buffer.add_char buf '\n';
-  if v2 then begin
-    (* %h prints an exact hexadecimal literal that float_of_string
-       parses back bit-for-bit. *)
-    Buffer.add_string buf (Printf.sprintf "%h" t.scale);
-    Buffer.add_char buf '\n'
-  end;
-  let add_float x = Buffer.add_string buf (Printf.sprintf "%h " x) in
-  Array.iter add_float t.center;
-  Buffer.add_char buf '\n';
-  (* The flat row-major backing array streams rows straight into the
-     buffer — no O(n²) to_arrays/concat intermediates. *)
-  Array.iter add_float t.shape.Mat.data;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
-
-let deserialize text =
-  let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
-  let floats line =
-    String.split_on_char ' ' (String.trim line)
-    |> List.filter (fun s -> s <> "")
-    |> List.map float_of_string_opt
-  in
-  (* Error messages carry the 1-based line number and, for float rows,
-     the 1-based field index of the first offender, so a corrupt
-     snapshot report names exactly where the damage is. *)
-  let parse_row ~line_no ~what line =
-    let parts = floats line in
-    match
-      List.find_index Option.is_none parts
-    with
-    | Some i ->
-        fail "line %d (%s): malformed float literal at field %d" line_no what
-          (i + 1)
-    | None ->
-        (* [make] refuses non-finite entries too; checking here names
-           the offending field. *)
-        let a = Array.of_list (List.map Option.get parts) in
-        (match Array.find_index (fun v -> not (Float.is_finite v)) a with
-        | Some i ->
-            fail "line %d (%s): non-finite entry at field %d" line_no what
-              (i + 1)
-        | None -> Ok a)
-  in
-  let build ~dim ~scale ~center:(center_no, center_line)
-      ~shape:(shape_no, shape_line) =
-    match parse_row ~line_no:center_no ~what:"center" center_line with
-    | Error _ as e -> e
-    | Ok center -> (
-        match parse_row ~line_no:shape_no ~what:"shape" shape_line with
-        | Error _ as e -> e
-        | Ok flat ->
-            if Array.length center <> dim then
-              fail "line %d (center): %d entries where the dimension says %d"
-                center_no (Array.length center) dim
-            else if Array.length flat <> dim * dim then
-              fail "line %d (shape): %d entries where the dimension says %d"
-                shape_no (Array.length flat) (dim * dim)
-            else
-              let shape = Mat.init dim dim (fun i j -> flat.((i * dim) + j)) in
-              (match make ~center ~shape with
-              | e -> Ok { e with scale }
-              | exception Invalid_argument msg ->
-                  fail "line %d (shape): %s" shape_no msg))
-  in
-  match String.split_on_char '\n' text with
-  | header :: dim_line :: rest -> (
-      let version =
-        match String.trim header with
-        | "ellipsoid/1" -> Some 1
-        | "ellipsoid/2" -> Some 2
-        | _ -> None
-      in
-      match version with
-      | None -> fail "line 1: unknown header (want ellipsoid/1 or ellipsoid/2)"
-      | Some version -> (
-          match int_of_string_opt (String.trim dim_line) with
-          | None -> fail "line 2: malformed dimension"
-          | Some dim when dim < 1 -> fail "line 2: non-positive dimension"
-          | Some dim -> (
-              match (version, rest) with
-              | 1, center_line :: shape_line :: _ ->
-                  build ~dim ~scale:1. ~center:(3, center_line)
-                    ~shape:(4, shape_line)
-              | 2, scale_line :: center_line :: shape_line :: _ -> (
-                  match float_of_string_opt (String.trim scale_line) with
-                  | Some s when Float.is_finite s && s > 0. ->
-                      build ~dim ~scale:s ~center:(4, center_line)
-                        ~shape:(5, shape_line)
-                  | Some _ -> fail "line 3: non-finite or non-positive scale"
-                  | None -> fail "line 3: malformed scale")
-              | 1, _ -> fail "truncated snapshot (4 lines expected)"
-              | _ -> fail "truncated snapshot (5 lines expected)")))
-  | _ -> fail "truncated snapshot (header and dimension lines expected)"
-
 let binary_magic = "dm-ell/3"
 
 let serialize_binary t =
@@ -508,6 +406,10 @@ let deserialize_binary ?(pos = 0) s =
           let cuts_since_sync = Serial.take_u32 r in
           let at = r.Serial.pos in
           let log_vol = Serial.take_f64 r in
+          (* Check the length before allocating: a forged [dim] must
+             not buy a [dim²] array out of a short image. *)
+          if Serial.remaining r < 8 * dim * (dim + 1) then
+            raise (Serial.Short r.Serial.pos);
           if Float.is_finite log_vol || Float.is_nan log_vol then
             let read_row ~what n =
               let off = r.Serial.pos in

@@ -200,42 +200,29 @@ val axis_widths : t -> Dm_linalg.Vec.t
 (** The semi-axis widths [√γᵢ(A)] in decreasing order (Jacobi
     eigendecomposition; analysis only). *)
 
-val serialize : t -> string
-(** Text snapshot (hexadecimal float literals, so the round-trip is
-    exact bit-for-bit).  Stable format, versioned header: an
-    ellipsoid with [scale = 1.] emits the original ["ellipsoid/1"]
-    layout byte-for-byte; a pending sparse-path scalar upgrades the
-    snapshot to ["ellipsoid/2"], which inserts one extra scale line
-    after the dimension. *)
-
-val deserialize : string -> (t, string) result
-(** Inverse of {!serialize}; accepts both snapshot versions.  [Error]
-    describes the first problem found (bad header, wrong counts,
-    malformed, non-finite or non-positive scale, malformed or
-    non-finite numbers, asymmetric or non-positive shape) and names
-    the offending line — and, for float rows, the field index — so
-    corrupt-snapshot reports are actionable.  NaN and infinite
-    entries are rejected explicitly — NaN would otherwise slip
-    through the symmetry and positive-diagonal checks. *)
-
 val binary_magic : string
 (** The 8-byte magic (["dm-ell/3"]) opening a binary snapshot. *)
 
 val serialize_binary : t -> string
-(** Compact binary (v3) snapshot: {!binary_magic}, then
-    little-endian [dim], [scale], [cuts_since_sync], the raw
-    [log_vol] bit pattern, and the center and flat row-major shape as
-    IEEE-754 bit patterns ({!Dm_linalg.Serial}).  Unlike the text
-    formats it also preserves [scale = 1.] vs. v2 upgrades uniformly
-    and the incremental-volume cache state, so a binary round-trip
-    reproduces the ellipsoid record field-for-field. *)
+(** Binary (v3) snapshot: {!binary_magic}, then little-endian [dim],
+    [scale], [cuts_since_sync], the raw [log_vol] bit pattern, and the
+    center and flat row-major shape as IEEE-754 bit patterns
+    ({!Dm_linalg.Serial}), so the round-trip is exact bit-for-bit and
+    reproduces the ellipsoid record field-for-field, the pending
+    sparse-path scalar and the incremental-volume cache included. *)
 
 val deserialize_binary : ?pos:int -> string -> (t, string) result
 (** Inverse of {!serialize_binary}, starting at byte [pos]
     (default 0); trailing bytes are ignored.  [Error] messages carry
-    the absolute byte offset of the first problem.  Validation
-    matches {!deserialize} (finite entries, positive scale, [make]'s
-    symmetry and diagonal checks); the log-volume field may be NaN
-    (the "cache unset" sentinel) but not infinite. *)
+    the absolute byte offset of the first problem: a bad magic, a
+    dimension outside [1, 2²⁰], a non-finite or non-positive scale, an
+    infinite log-volume field (NaN is the "cache unset" sentinel and
+    is accepted), NaN or infinite center and shape entries (NaN would
+    otherwise slip through the symmetry and positive-diagonal checks),
+    or a shape that fails [make]'s exact-symmetry and positive-diagonal
+    checks.  Positive-definiteness is not checked.  The image's length
+    is checked against [dim] before the center and shape are
+    allocated, so a short image with a forged dimension returns a
+    truncation [Error] without allocating. *)
 
 val pp : Format.formatter -> t -> unit

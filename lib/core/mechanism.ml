@@ -548,43 +548,6 @@ let conservative_rounds t = t.conservative
 
 let skipped_rounds t = t.skipped
 
-let state_line t =
-  Printf.sprintf "%b %h %b %h %d %d %d" t.cfg.variant.use_reserve
-    t.cfg.variant.delta t.cfg.allow_conservative_cuts t.cfg.epsilon
-    t.exploratory t.conservative t.skipped
-
-let snapshot t =
-  match (t.robust, t.proj) with
-  | Some rs, _ ->
-      (* v3 inserts the robust block between the state line and the
-         ellipsoid: configuration, then the live drift-detector state
-         (the contradiction bitmask prints as a decimal int). *)
-      Printf.sprintf "mechanism/3\n%s\nrobust %d %d %d %h %d %d %d %d %h %d\n%s"
-        (state_line t) rs.rcfg.explore_every rs.rcfg.drift_window
-        rs.rcfg.drift_trigger rs.rcfg.reinflate_radius rs.since_explore
-        rs.recent rs.filled rs.probe_streak rs.shade rs.restarts
-        (Ellipsoid.serialize t.ell)
-  | None, None ->
-      Printf.sprintf "mechanism/1\n%s\n%s" (state_line t)
-        (Ellipsoid.serialize t.ell)
-  | None, Some (p, err) ->
-      (* v2 inserts the projection block between the state line and the
-         ellipsoid: one "proj k n err" line, then the row-major entries
-         as hex float literals on one line (exact round-trip). *)
-      let rows = Dm_linalg.Mat.rows p and cols = Dm_linalg.Mat.cols p in
-      let buf = Buffer.create (64 + (24 * rows * cols)) in
-      Buffer.add_string buf "mechanism/2\n";
-      Buffer.add_string buf (state_line t);
-      Printf.bprintf buf "\nproj %d %d %h\n" rows cols err;
-      Array.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ' ';
-          Printf.bprintf buf "%h" v)
-        p.Dm_linalg.Mat.data;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (Ellipsoid.serialize t.ell);
-      Buffer.contents buf
-
 let binary_magic = "dm-mech3"
 
 let binary_magic_v4 = "dm-mech4"
@@ -636,15 +599,15 @@ let snapshot_binary t =
   Buffer.contents buf
 
 (* Every [restore] error is prefixed "Mechanism.restore: " and names
-   the offending line (text format) or absolute byte offset (binary),
-   so corrupt-snapshot reports surfaced by crash recovery are
-   actionable without hexdumping the file. *)
+   the absolute byte offset of the offending field, so corrupt-snapshot
+   reports surfaced by crash recovery are actionable without
+   hexdumping the file. *)
 let fail fmt = Printf.ksprintf (fun m -> Error ("Mechanism.restore: " ^ m)) fmt
 
 exception Restore_failure of string
 
-(* Shared robust-block validation for both snapshot formats; the error
-   message is unprefixed so each caller can name the location. *)
+(* Robust-block validation; the error message is unprefixed so the
+   caller can name the byte offset. *)
 let robust_state_of_fields ~explore_every ~drift_window ~drift_trigger
     ~reinflate_radius ~since_explore ~recent ~filled ~probe_streak ~shade
     ~restarts =
@@ -667,8 +630,8 @@ let robust_state_of_fields ~explore_every ~drift_window ~drift_trigger
       else
         Ok { rcfg; since_explore; recent; filled; probe_streak; shade; restarts }
 
-(* Shared final assembly: validate the config, match the projection
-   rank against the ellipsoid dimension, build the mechanism. *)
+(* Final assembly: validate the config, match the projection rank
+   against the ellipsoid dimension, build the mechanism. *)
 let assemble ~use_reserve ~delta ~allow ~sparse_cuts ~epsilon ~proj ~robust ~ell
     ~exploratory ~conservative ~skipped =
   match proj with
@@ -677,7 +640,7 @@ let assemble ~use_reserve ~delta ~allow ~sparse_cuts ~epsilon ~proj ~robust ~ell
         (Ellipsoid.dim ell) (Dm_linalg.Mat.rows p)
   | _ -> (
       match
-        config ~allow_conservative_cuts:allow ?sparse_cuts
+        config ~allow_conservative_cuts:allow ~sparse_cuts
           ~variant:{ use_reserve; delta } ~epsilon ()
       with
       | exception Invalid_argument msg -> fail "%s" msg
@@ -705,9 +668,9 @@ let assemble ~use_reserve ~delta ~allow ~sparse_cuts ~epsilon ~proj ~robust ~ell
               memo_u = no_memo;
             })
 
-let restore_binary ~projected ~robust text =
+let restore_binary ~projected ~robust img =
   let failf fmt = Printf.ksprintf (fun m -> raise (Restore_failure m)) fmt in
-  let r = Serial.reader ~pos:(String.length binary_magic) text in
+  let r = Serial.reader ~pos:(String.length binary_magic) img in
   let flag what =
     let off = r.Serial.pos in
     match Serial.take_u8 r with
@@ -773,159 +736,29 @@ let restore_binary ~projected ~robust text =
         Some (p, err)
       end
     in
-    match Ellipsoid.deserialize_binary ~pos:r.Serial.pos text with
+    match Ellipsoid.deserialize_binary ~pos:r.Serial.pos img with
     | Error msg -> fail "ellipsoid: %s" msg
     | Ok ell ->
-        assemble ~use_reserve ~delta ~allow ~sparse_cuts:(Some sparse_cuts)
-          ~epsilon ~proj ~robust ~ell ~exploratory ~conservative ~skipped
+        assemble ~use_reserve ~delta ~allow ~sparse_cuts ~epsilon ~proj
+          ~robust ~ell ~exploratory ~conservative ~skipped
   with
   | Restore_failure m -> Error ("Mechanism.restore: " ^ m)
   | Serial.Short off -> fail "truncated at byte %d" off
 
-let cut_line s =
-  match String.index_opt s '\n' with
-  | None -> None
-  | Some i -> Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-
-(* "proj k n err" plus one line of k·n hex float literals. *)
-let parse_text_projection rest =
-  match cut_line rest with
-  | None -> fail "line 3: truncated projection header"
-  | Some (header, rest) -> (
-      match
-        Scanf.sscanf header "proj %d %d %h" (fun k n err -> (k, n, err))
-      with
-      | exception Scanf.Scan_failure msg ->
-          fail "line 3: bad projection header: %s" msg
-      | exception Failure msg -> fail "line 3: bad projection header: %s" msg
-      | exception End_of_file -> fail "line 3: bad projection header"
-      | k, n, err -> (
-          if k < 1 || k > max_proj_dim then
-            fail "line 3: bad projection rank (%d)" k
-          else if n < 1 || n > max_proj_dim then
-            fail "line 3: bad projection dim (%d)" n
-          else if not (err >= 0.) || err = infinity then
-            fail
-              "line 3: projection error bound must be finite and non-negative"
-          else
-            match cut_line rest with
-            | None -> fail "line 4: truncated projection entries"
-            | Some (entries, rest) -> (
-                let fields =
-                  String.split_on_char ' ' entries
-                  |> List.filter (fun s -> s <> "")
-                in
-                if List.length fields <> k * n then
-                  fail "line 4: want %d projection entries, got %d" (k * n)
-                    (List.length fields)
-                else
-                  match
-                    List.map
-                      (fun s ->
-                        match float_of_string_opt s with
-                        | Some v when Float.is_finite v -> v
-                        | _ -> raise (Restore_failure "line 4: bad entry"))
-                      fields
-                  with
-                  | exception Restore_failure m -> fail "%s" m
-                  | values ->
-                      let a = Array.of_list values in
-                      let p =
-                        Dm_linalg.Mat.init k n (fun i j -> a.((i * n) + j))
-                      in
-                      Ok ((p, err), rest))))
-
-(* "robust ee dw dt rr se recent filled probes shade restarts" —
-   configuration plus live drift-detector state on one line. *)
-let parse_text_robust rest =
-  match cut_line rest with
-  | None -> fail "line 3: truncated robust line"
-  | Some (line, rest) -> (
-      match
-        Scanf.sscanf line "robust %d %d %d %h %d %d %d %d %h %d"
-          (fun ee dw dt rr se rc fl ps sh rst ->
-            (ee, dw, dt, rr, se, rc, fl, ps, sh, rst))
-      with
-      | exception Scanf.Scan_failure msg -> fail "line 3: bad robust line: %s" msg
-      | exception Failure msg -> fail "line 3: bad robust line: %s" msg
-      | exception End_of_file -> fail "line 3: bad robust line"
-      | ee, dw, dt, rr, se, rc, fl, ps, sh, rst -> (
-          match
-            robust_state_of_fields ~explore_every:ee ~drift_window:dw
-              ~drift_trigger:dt ~reinflate_radius:rr ~since_explore:se
-              ~recent:rc ~filled:fl ~probe_streak:ps ~shade:sh ~restarts:rst
-          with
-          | Error msg -> fail "line 3: %s" msg
-          | Ok rs -> Ok (rs, rest)))
-
-let restore_text text =
-  match cut_line text with
-  | None -> fail "line 1: truncated snapshot"
-  | Some (header, rest) -> (
-      let version =
-        match header with
-        | "mechanism/1" -> Some 1
-        | "mechanism/2" -> Some 2
-        | "mechanism/3" -> Some 3
-        | _ -> None
-      in
-      match version with
-      | None ->
-          fail "line 1: unknown header (want mechanism/1, mechanism/2 or \
-                mechanism/3)"
-      | Some version -> (
-          match cut_line rest with
-          | None -> fail "line 2: truncated snapshot"
-          | Some (state_line, rest) -> (
-              match
-                Scanf.sscanf state_line "%B %h %B %h %d %d %d"
-                  (fun use_reserve delta allow epsilon e c s ->
-                    (use_reserve, delta, allow, epsilon, e, c, s))
-              with
-              | exception Scanf.Scan_failure msg ->
-                  fail "line 2: bad state line: %s" msg
-              | exception Failure msg -> fail "line 2: bad state line: %s" msg
-              | _, _, _, _, e, _, _ when e < 0 ->
-                  fail "line 2: negative exploratory counter (field 5)"
-              | _, _, _, _, _, c, _ when c < 0 ->
-                  fail "line 2: negative conservative counter (field 6)"
-              | _, _, _, _, _, _, s when s < 0 ->
-                  fail "line 2: negative skipped counter (field 7)"
-              | use_reserve, delta, allow, epsilon, e, c, s -> (
-                  let sections =
-                    match version with
-                    | 1 -> Ok (None, None, rest)
-                    | 2 -> (
-                        match parse_text_projection rest with
-                        | Error msg -> Error msg
-                        | Ok (pe, rest) -> Ok (Some pe, None, rest))
-                    | _ -> (
-                        match parse_text_robust rest with
-                        | Error msg -> Error msg
-                        | Ok (rs, rest) -> Ok (None, Some rs, rest))
-                  in
-                  match sections with
-                  | Error msg -> Error msg
-                  | Ok (proj, robust, ell_text) -> (
-                      match Ellipsoid.deserialize ell_text with
-                      | Error msg -> fail "ellipsoid section: %s" msg
-                      | Ok ell ->
-                          assemble ~use_reserve ~delta ~allow ~sparse_cuts:None
-                            ~epsilon ~proj ~robust ~ell ~exploratory:e
-                            ~conservative:c ~skipped:s)))))
-
-let restore text =
+let restore img =
   let starts_with magic =
     let m = String.length magic in
-    String.length text >= m && String.sub text 0 m = magic
+    String.length img >= m && String.sub img 0 m = magic
   in
   if starts_with binary_magic then
-    restore_binary ~projected:false ~robust:false text
+    restore_binary ~projected:false ~robust:false img
   else if starts_with binary_magic_v4 then
-    restore_binary ~projected:true ~robust:false text
+    restore_binary ~projected:true ~robust:false img
   else if starts_with binary_magic_v5 then
-    restore_binary ~projected:false ~robust:true text
-  else restore_text text
+    restore_binary ~projected:false ~robust:true img
+  else
+    fail "byte 0: unknown magic (want %s, %s or %s)" binary_magic
+      binary_magic_v4 binary_magic_v5
 
 let te_upper_bound ~radius ~feature_bound ~dim ~epsilon =
   if

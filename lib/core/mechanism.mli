@@ -299,18 +299,6 @@ val te_upper_bound : radius:float -> feature_bound:float -> dim:int -> epsilon:f
     rounds.  Raises [Invalid_argument] unless [radius], [feature_bound]
     and [epsilon] are positive (NaN is refused) and [dim ≥ 1]. *)
 
-val snapshot : t -> string
-(** Text snapshot of the full mechanism state — configuration,
-    counters and knowledge set — exact across a round-trip, so a
-    broker process can restart mid-stream without losing what it
-    learned.  A dense mechanism emits the original ["mechanism/1"]
-    layout byte-for-byte; a projected one upgrades to ["mechanism/2"],
-    which inserts a ["proj k n err"] line and one line of row-major
-    hex-float projection entries between the state line and the
-    ellipsoid; a robust one upgrades to ["mechanism/3"], which instead
-    inserts one ["robust ..."] line carrying the {!robust_config} and
-    the live drift-detector state. *)
-
 val binary_magic : string
 (** The 8-byte magic (["dm-mech3"]) opening a dense binary snapshot. *)
 
@@ -327,24 +315,26 @@ val binary_magic_v5 : string
     ellipsoid. *)
 
 val snapshot_binary : t -> string
-(** Compact binary snapshot: {!binary_magic} (dense) or
-    {!binary_magic_v4} (projected), the configuration and counters as
-    little-endian fields, the projection block when projected, then
-    the ellipsoid's {!Ellipsoid.serialize_binary} image.  Unlike the
-    text format it records [sparse_cuts] and the ellipsoid's
-    scalar/volume-cache state, so a round-trip reproduces the
-    mechanism field-for-field — this is what the [Dm_store] snapshot
-    files hold.  Dense mechanisms emit the v3 bytes unchanged. *)
+(** Binary snapshot of the full mechanism state, exact across a
+    round-trip, so a broker process can restart mid-stream without
+    losing what it learned: {!binary_magic} (dense), {!binary_magic_v4}
+    (projected) or {!binary_magic_v5} (robust), the configuration
+    (including [sparse_cuts]) and counters as little-endian fields, the
+    projection or robust block, then the ellipsoid's
+    {!Ellipsoid.serialize_binary} image with its scalar and
+    volume-cache state.  A round-trip reproduces the mechanism
+    field-for-field; this is what the [Dm_store] snapshot files
+    hold. *)
 
 val restore : string -> (t, string) result
-(** Inverse of {!snapshot} and {!snapshot_binary} — the format is
-    sniffed from the leading magic.  [Error] on any malformed input,
-    including non-finite floats (NaN ε/δ, projection entries or
-    ellipsoid entries), a NaN/infinite/negative projection error
-    bound, a projection rank that disagrees with the ellipsoid
-    dimension, and negative round counters — a corrupted snapshot
-    never yields a mechanism that misprices silently.  Messages are
-    prefixed ["Mechanism.restore: "] and name the offending line and
-    field (text) or byte offset (binary).  The text format predates
-    [sparse_cuts], which it does not record; text-restored mechanisms
-    get the default ([true]). *)
+(** Inverse of {!snapshot_binary}; the layout is picked by the leading
+    magic, and any other leading bytes are an [Error].  [Error] on any
+    malformed input, including non-finite floats (NaN ε/δ, projection
+    entries or ellipsoid entries), a NaN/infinite/negative projection
+    error bound, a projection rank that disagrees with the ellipsoid
+    dimension, an invalid robust block, a flag byte other than 0 or 1,
+    and truncated or oversized fields.  The ellipsoid's shape is
+    checked for exact symmetry and a positive diagonal
+    ({!Ellipsoid.deserialize_binary}), not for positive-definiteness.
+    Messages are prefixed ["Mechanism.restore: "] and name the byte
+    offset of the offending field. *)

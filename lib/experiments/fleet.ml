@@ -23,7 +23,7 @@ let ok_or_fail = function
    (seed, scale) whatever the jobs value. *)
 let make_specs ~seed ~tenants =
   let root = Rng.create seed in
-  let variants = Array.of_list Longrun.variants in
+  let variants = Array.of_list Replay_market.variants in
   let specs = Array.make tenants (0, variants.(0)) in
   for i = 0 to tenants - 1 do
     let child = Rng.split root in
@@ -32,7 +32,8 @@ let make_specs ~seed ~tenants =
   done;
   specs
 
-let make_setup tseed = Longrun.make_setup ~dim ~seed:tseed ~rounds:tenant_rounds ()
+let make_setup tseed =
+  Replay_market.make_setup ~dim ~seed:tseed ~rounds:tenant_rounds ()
 
 type _ Effect.t += Journal_event : Broker.event -> unit Effect.t
 
@@ -80,13 +81,14 @@ let tenant_run ~setup ~mech ~rounds () =
   Broker.run
     ~journal:(fun e -> Effect.perform (Journal_event e))
     ~policy:(Broker.Ellipsoid_pricing mech)
-    ~model:setup.Longrun.model ~noise:setup.Longrun.noise
-    ~workload:setup.Longrun.workload ~rounds ()
+    ~model:setup.Replay_market.model ~noise:setup.Replay_market.noise
+    ~workload:setup.Replay_market.workload ~rounds ()
 
 let result_identical (a : Broker.result) (b : Broker.result) =
-  Longrun.series_identical a.Broker.series b.Broker.series
-  && Longrun.bits a.Broker.total_regret = Longrun.bits b.Broker.total_regret
-  && Longrun.bits a.Broker.total_value = Longrun.bits b.Broker.total_value
+  let bits = Replay_market.bits in
+  Replay_market.series_identical a.Broker.series b.Broker.series
+  && bits a.Broker.total_regret = bits b.Broker.total_regret
+  && bits a.Broker.total_value = bits b.Broker.total_value
 
 let report ?pool ?(scale = 1.) ?(seed = 42) ?(jobs = 1) ppf =
   let tenants = scaled_tenants scale in
@@ -108,15 +110,15 @@ let report ?pool ?(scale = 1.) ?(seed = 42) ?(jobs = 1) ppf =
       Runner.map ?pool ~jobs
         (fun (tenant, (tseed, (_, variant))) ->
           let setup = make_setup tseed in
-          let mech = Longrun.mechanism setup variant in
+          let mech = Replay_market.mechanism setup variant in
           let buf = Buffer.create 4096 in
           let res =
             Broker.run
               ~journal:(fun e ->
                 Buffer.add_string buf (Journal.encode_event ~tenant e))
               ~policy:(Broker.Ellipsoid_pricing mech)
-              ~model:setup.Longrun.model ~noise:setup.Longrun.noise
-              ~workload:setup.Longrun.workload ~rounds:tenant_rounds ()
+              ~model:setup.Replay_market.model ~noise:setup.Replay_market.noise
+              ~workload:setup.Replay_market.workload ~rounds:tenant_rounds ()
           in
           (res, Buffer.contents buf))
         (Array.mapi (fun i spec -> (i, spec)) specs)
@@ -133,7 +135,7 @@ let report ?pool ?(scale = 1.) ?(seed = 42) ?(jobs = 1) ppf =
       let mechs =
         Array.map
           (fun (tseed, (_, variant)) ->
-            Longrun.mechanism (make_setup tseed) variant)
+            Replay_market.mechanism (make_setup tseed) variant)
           specs
       in
       let runs =
@@ -189,7 +191,7 @@ let report ?pool ?(scale = 1.) ?(seed = 42) ?(jobs = 1) ppf =
       let mechs =
         Array.map
           (fun (tseed, (_, variant)) ->
-            Longrun.mechanism (make_setup tseed) variant)
+            Replay_market.mechanism (make_setup tseed) variant)
           specs
       in
       let runs =
@@ -206,7 +208,7 @@ let report ?pool ?(scale = 1.) ?(seed = 42) ?(jobs = 1) ppf =
       Fleet_store.simulate_crash fleet ~keep ~junk;
       let initial tn =
         let tseed, (_, variant) = specs.(tn) in
-        Longrun.mechanism (make_setup tseed) variant
+        Replay_market.mechanism (make_setup tseed) variant
       in
       let rec1, _torn1 =
         ok_or_fail (Fleet_store.recover ~initial ~dir:dir_crash ~tenants ())
@@ -261,7 +263,7 @@ let report ?pool ?(scale = 1.) ?(seed = 42) ?(jobs = 1) ppf =
     in
     (* Per-variant aggregation for the table, plus the grep-able
        whole-fleet verdict. *)
-    let n_variants = List.length Longrun.variants in
+    let n_variants = List.length Replay_market.variants in
     let rows =
       List.mapi
         (fun vi (name, _) ->
@@ -283,7 +285,7 @@ let report ?pool ?(scale = 1.) ?(seed = 42) ?(jobs = 1) ppf =
             Printf.sprintf "%d/%d" !log_n !count;
             Printf.sprintf "%d/%d" !res_n !count;
           ])
-        Longrun.variants
+        Replay_market.variants
     in
     Table.print ppf
       ~title:
@@ -340,12 +342,14 @@ let journal_amortization ?(seed = 42) ?(tenants = 64) ?(rounds = 300)
     Runner.with_scratch_dir ("fleet_bench-" ^ tag) @@ fun dir ->
     let setups =
       Array.map
-        (fun (tseed, _) -> Longrun.make_setup ~dim ~seed:tseed ~rounds ())
+        (fun (tseed, _) ->
+          Replay_market.make_setup ~dim ~seed:tseed ~rounds ())
         specs
     in
     let mechs =
       Array.mapi
-        (fun i (_, (_, variant)) -> Longrun.mechanism setups.(i) variant)
+        (fun i (_, (_, variant)) ->
+          Replay_market.mechanism setups.(i) variant)
         specs
     in
     let runs =

@@ -2,9 +2,9 @@
     shared group-commit journal ({!Dm_store.Fleet}), each verified
     bit-identical to its solo run.
 
-    Per tenant (a {!Longrun.make_setup} market at n = 4, variant
-    cycling through the four of {!Longrun.variants}, seed split off
-    the root stream before dispatch) the driver
+    Per tenant (a {!Replay_market.make_setup} market at n = 4, variant
+    cycling through the four of {!Replay_market.variants}, seed split
+    off the root stream before dispatch) the driver
 
     + runs the uninterrupted solo reference and records its encoded
       journal stream ({!Dm_store.Journal.encode_event}) — these cells

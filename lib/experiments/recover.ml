@@ -71,19 +71,20 @@ let resume ~name ~setup ~variant ~mech ~events:(events : Broker.event array)
            learn;
            uses_reserve = variant.Mechanism.use_reserve;
          })
-    ~model:setup.Longrun.model ~noise:setup.Longrun.noise
-    ~workload:setup.Longrun.workload ~rounds ()
+    ~model:setup.Replay_market.model ~noise:setup.Replay_market.noise
+    ~workload:setup.Replay_market.workload ~rounds ()
 
 (* One self-contained verification cell.  Everything below is a pure
    function of (seed, rounds, index, variant) — the cell touches only
    its own store directory, so the cells are safe on any domain and
    the rendered bytes cannot depend on the jobs value. *)
 let verify_variant ~seed ~rounds index (name, variant) =
-  let setup = Longrun.make_setup ~dim ~seed ~rounds () in
-  let fresh () = Longrun.mechanism setup variant in
+  let setup = Replay_market.make_setup ~dim ~seed ~rounds () in
+  let fresh () = Replay_market.mechanism setup variant in
   let run ?journal ~policy ~rounds () =
-    Broker.run ?journal ~policy ~model:setup.Longrun.model
-      ~noise:setup.Longrun.noise ~workload:setup.Longrun.workload ~rounds ()
+    Broker.run ?journal ~policy ~model:setup.Replay_market.model
+      ~noise:setup.Replay_market.noise
+      ~workload:setup.Replay_market.workload ~rounds ()
   in
   let reference = run ~policy:(Broker.Ellipsoid_pricing (fresh ())) ~rounds () in
   let frng = Rng.create (seed + (104729 * (index + 1))) in
@@ -141,11 +142,11 @@ let verify_variant ~seed ~rounds index (name, variant) =
       ~prefix:rec1.Fleet_store.next_round ~rounds
   in
   let identical =
-    Longrun.series_identical reference.Broker.series resumed.Broker.series
-    && Longrun.bits reference.Broker.total_regret
-       = Longrun.bits resumed.Broker.total_regret
-    && Longrun.bits reference.Broker.total_value
-       = Longrun.bits resumed.Broker.total_value
+    Replay_market.series_identical reference.Broker.series resumed.Broker.series
+    && Replay_market.bits reference.Broker.total_regret
+       = Replay_market.bits resumed.Broker.total_regret
+    && Replay_market.bits reference.Broker.total_value
+       = Replay_market.bits resumed.Broker.total_value
   in
   let row =
     [
@@ -162,10 +163,10 @@ let verify_variant ~seed ~rounds index (name, variant) =
   (row, probe_rejected && compact_ok && identical)
 
 let report ?pool ?(scale = 1.) ?(seed = 42) ?(jobs = 1) ppf =
-  let rounds = Longrun.scaled_rounds scale full_rounds in
+  let rounds = Replay_market.scaled_rounds scale full_rounds in
   let go pool =
     let cells =
-      Array.of_list (List.mapi (fun i v -> (i, v)) Longrun.variants)
+      Array.of_list (List.mapi (fun i v -> (i, v)) Replay_market.variants)
     in
     let results =
       Runner.map ?pool ~jobs
@@ -208,16 +209,16 @@ let journal_overhead ?(seed = 42) ?(reps = 3) ~rounds () =
   if rounds < 1 then
     invalid_arg "Recover.journal_overhead: need at least one round";
   if reps < 1 then invalid_arg "Recover.journal_overhead: need at least one rep";
-  let variant = snd (List.hd Longrun.variants) in
+  let variant = snd (List.hd Replay_market.variants) in
   let time_run ~tag ~rounds ~journaled ~fsync =
-    let setup = Longrun.make_setup ~seed ~rounds () in
-    let mech = Longrun.mechanism setup variant in
+    let setup = Replay_market.make_setup ~seed ~rounds () in
+    let mech = Replay_market.mechanism setup variant in
     let run ?journal () =
       ignore
         (Broker.run ?journal
            ~policy:(Broker.Ellipsoid_pricing mech)
-           ~model:setup.Longrun.model ~noise:setup.Longrun.noise
-           ~workload:setup.Longrun.workload ~rounds ())
+           ~model:setup.Replay_market.model ~noise:setup.Replay_market.noise
+           ~workload:setup.Replay_market.workload ~rounds ())
     in
     if not journaled then begin
       let t0 = Unix.gettimeofday () in
@@ -258,6 +259,8 @@ let journal_overhead ?(seed = 42) ?(reps = 3) ~rounds () =
         (time_run ~tag:"fsync" ~rounds:(min rounds 2000) ~journaled:true
            ~fsync:true)
   done;
+  (* The keys keep the names of the artifact this market came from, so
+     compare.exe still pairs them with older records. *)
   [
     ("journal/longrun_off", best.(0));
     ("journal/longrun_nofsync", best.(1));

@@ -2,7 +2,8 @@
     recover from disk, resume, and verify the regret series is
     bit-identical to an uninterrupted reference run.
 
-    Per mechanism variant (the four of {!Longrun.variants}) the driver
+    Per mechanism variant (the four of {!Replay_market.variants}) the
+    driver
 
     + runs the uninterrupted reference over the full horizon;
     + replays the same stream into a one-tenant {!Dm_store.Fleet}
@@ -30,7 +31,7 @@ val full_rounds : int
 
 val resume :
   name:string ->
-  setup:Longrun.setup ->
+  setup:Replay_market.setup ->
   variant:Dm_market.Mechanism.variant ->
   mech:Dm_market.Mechanism.t ->
   events:Dm_market.Broker.event array ->
@@ -52,17 +53,18 @@ val report :
   ?jobs:int ->
   Format.formatter ->
   unit
-(** Run the four variant cells (in parallel under [jobs]/[pool],
-    resolved exactly as in {!Longrun.report}) and print the
-    verification table plus a summary line of the form
+(** Run the four variant cells (in parallel under [jobs]/[pool]: an
+    explicit [pool] wins, else the installed default pool, else a
+    transient pool of [jobs] domains) and print the verification
+    table plus a summary line of the form
     ["… 4/4 variants bit-identical …"] that the CI smoke greps for;
     the count includes only variants that pass all three checks. *)
 
 val journal_overhead :
   ?seed:int -> ?reps:int -> rounds:int -> unit -> (string * float) list
 (** Benchmark helper for the journal-overhead stage: time the
-    {!Longrun} market (n = 16, pure variant) for [rounds] rounds with
-    journaling off, journaled into a one-tenant store at its default
+    {!Replay_market} market (n = 16, pure variant) for [rounds] rounds
+    with journaling off, journaled into a one-tenant store at its default
     group-commit policy, and with [latency_appends = 1] — one fsync
     per record, capped at [min rounds 2000] because it is orders of
     magnitude slower — returning [(name, ns-per-round)] pairs whose

@@ -1,24 +1,13 @@
-(** Long-horizon sharded-broker artifact: one 10⁶-round stream per
-    mechanism variant, run three ways — the sequential
-    {!Dm_market.Broker.run} reference, {!Dm_market.Broker.run_sharded}
-    in exact mode (merge verified bit-for-bit against the reference,
-    printed per variant), and warm-start mode (reported as the maximum
-    regret-ratio drift).  The market is the App-1 shape at n = 16 with
-    the stream generated from per-round {!Dm_prob.Rng.split} children,
-    so shard prefixes materialize in parallel at any jobs value while
-    the printed bytes never change.
-
-    The market construction ({!make_setup}, {!mechanism}, {!variants})
-    and the bit-identity helpers are exposed so other artifacts that
-    need the same reproducible stream — notably
-    {!Dm_experiments.Recover} — reuse them instead of forking the
-    shape. *)
+(** A replayable market for the durability artifacts: the App-1 shape
+    with every round's inputs drawn from its own
+    {!Dm_prob.Rng.split} child, so one setup replays the same stream
+    in every run that shares it.  {!Recover} (crash recovery),
+    {!Fleet} (many tenants on one journal), the store tests and the
+    bench's journal-overhead keys all run this market, so their
+    results stay comparable. *)
 
 val default_dim : int
-(** Feature dimension the artifact itself runs at (16). *)
-
-val full_rounds : int
-(** The unscaled horizon (10⁶ rounds). *)
+(** Feature dimension when [make_setup] is given none (16). *)
 
 val scaled_rounds : float -> int -> int
 (** [scaled_rounds scale rounds] is the horizon after applying a
@@ -38,7 +27,8 @@ type setup = {
     θ-star with norm √(2n), unit-norm non-negative features, reserve
     q = Σᵢ xᵢ) with the stream backed by per-round
     {!Dm_prob.Rng.split} children, so [workload]/[noise] are pure in
-    [t] and safe from any domain. *)
+    [t]: a run resumed after a crash sees the same round [t] as the
+    run that was killed. *)
 
 val make_setup : ?dim:int -> seed:int -> rounds:int -> unit -> setup
 (** Materialize the market for a horizon.  [dim] defaults to
@@ -52,7 +42,7 @@ val mechanism : setup -> Dm_market.Mechanism.variant -> Dm_market.Mechanism.t
 
 val variants : (string * Dm_market.Mechanism.variant) list
 (** The four paper variants (pure, uncertainty, reserve,
-    reserve+uncertainty) with the artifact's δ = 0.01. *)
+    reserve+uncertainty) with δ = 0.01. *)
 
 val bits : float -> int64
 (** IEEE-754 bit pattern, for bit-identity comparisons. *)
@@ -63,16 +53,3 @@ val floats_identical : float array -> float array -> bool
 val series_identical : Dm_market.Broker.series -> Dm_market.Broker.series -> bool
 (** Bit-pattern equality of two regret series (checkpoints, cumulative
     regret and value, regret ratio). *)
-
-val report :
-  ?pool:Dm_linalg.Pool.t ->
-  ?scale:float ->
-  ?seed:int ->
-  ?jobs:int ->
-  Format.formatter ->
-  unit
-(** [scale] multiplies the 10⁶-round horizon (floored at 100);
-    [jobs]/[pool] control shard dispatch exactly as in the other
-    drivers (an explicit [pool] wins, else the installed default pool,
-    else a transient pool of [jobs] domains).  Output bytes depend on
-    neither. *)

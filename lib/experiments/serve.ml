@@ -108,7 +108,7 @@ let event_of (r : req) (d : Mechanism.decision) ~u ~accepted : Broker.event =
    shape): the cross-config identity unit.  A projected mechanism and
    the dense k-dim mechanism replayed from its journal digest equal iff
    their ellipsoids match bit-for-bit — and unlike [snapshot_binary]
-   the digest does not re-serialize the shared k×n projection per
+   the digest does not encode the shared k×n projection again per
    tenant (~5 MB each at full scale). *)
 let state_digest m =
   let e = Mechanism.ellipsoid m in

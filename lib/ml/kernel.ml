@@ -13,10 +13,12 @@ let eval k x y =
   | Linear -> Vec.dot x y
   | Polynomial { degree; offset } ->
       if degree < 1 then invalid_arg "Kernel.eval: degree must be >= 1";
-      if offset < 0. then invalid_arg "Kernel.eval: negative offset";
+      if not (offset >= 0.) then
+        invalid_arg "Kernel.eval: negative or NaN offset";
       (Vec.dot x y +. offset) ** float_of_int degree
   | Rbf { gamma } ->
-      if gamma <= 0. then invalid_arg "Kernel.eval: gamma must be > 0";
+      if not (gamma > 0.) then
+        invalid_arg "Kernel.eval: gamma must be > 0, not NaN";
       let d = Vec.dist2 x y in
       exp (-.gamma *. d *. d)
 

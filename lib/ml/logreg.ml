@@ -17,9 +17,9 @@ let fit ?(params = default_params) x labels =
   let rows, cols = Mat.dims x in
   if rows = 0 then invalid_arg "Logreg.fit: no rows";
   if rows <> Array.length labels then invalid_arg "Logreg.fit: shape mismatch";
-  if params.learning_rate <= 0. then
-    invalid_arg "Logreg.fit: learning rate must be > 0";
-  if params.l2 < 0. then invalid_arg "Logreg.fit: negative l2";
+  if not (params.learning_rate > 0.) then
+    invalid_arg "Logreg.fit: learning rate must be > 0, not NaN";
+  if not (params.l2 >= 0.) then invalid_arg "Logreg.fit: negative or NaN l2";
   if params.iterations < 1 then invalid_arg "Logreg.fit: need iterations";
   let w = Vec.zeros cols in
   let b = ref 0. in

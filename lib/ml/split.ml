@@ -1,7 +1,8 @@
 type 'a split = { train : 'a array; test : 'a array }
 
 let check_fraction f =
-  if f < 0. || f > 1. then invalid_arg "Split: test_fraction outside [0,1]"
+  if not (f >= 0. && f <= 1.) then
+    invalid_arg "Split: test_fraction outside [0,1] or NaN"
 
 let cut data n_test =
   let n = Array.length data in

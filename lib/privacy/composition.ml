@@ -1,7 +1,8 @@
 type level = { eps : float; del : float }
 
 let check_level { eps; del } =
-  if eps < 0. || del < 0. then invalid_arg "Composition: negative level"
+  if not (eps >= 0. && del >= 0.) then
+    invalid_arg "Composition: negative or NaN level"
 
 let pure eps =
   let l = { eps; del = 0. } in
@@ -23,8 +24,8 @@ let basic levels =
 let advanced ~k ~slack l =
   check_level l;
   if k < 1 then invalid_arg "Composition.advanced: k must be >= 1";
-  if slack <= 0. || slack >= 1. then
-    invalid_arg "Composition.advanced: slack must be in (0, 1)";
+  if not (slack > 0. && slack < 1.) then
+    invalid_arg "Composition.advanced: slack must be in (0, 1), not NaN";
   let kf = float_of_int k in
   {
     eps =
@@ -39,12 +40,12 @@ let best_of ~k ~slack l =
   if a.eps < b.eps then a else b
 
 let gaussian_scale ~sensitivity l =
-  if sensitivity <= 0. then
-    invalid_arg "Composition.gaussian_scale: sensitivity must be > 0";
-  if l.eps <= 0. || l.eps > 1. then
-    invalid_arg "Composition.gaussian_scale: eps must be in (0, 1]";
-  if l.del <= 0. || l.del >= 1. then
-    invalid_arg "Composition.gaussian_scale: delta must be in (0, 1)";
+  if not (sensitivity > 0.) then
+    invalid_arg "Composition.gaussian_scale: sensitivity must be > 0, not NaN";
+  if not (l.eps > 0. && l.eps <= 1.) then
+    invalid_arg "Composition.gaussian_scale: eps must be in (0, 1], not NaN";
+  if not (l.del > 0. && l.del < 1.) then
+    invalid_arg "Composition.gaussian_scale: delta must be in (0, 1), not NaN";
   sensitivity *. sqrt (2. *. log (1.25 /. l.del)) /. l.eps
 
 type accountant = { budget : level; spends : level array }

@@ -34,26 +34,6 @@ let online_max o = if o.count = 0 then nan else o.max
 
 let online_sum o = o.sum
 
-let merge a b =
-  (* Chan et al.'s parallel Welford combine.  Either side empty returns
-     a copy of the other so the ±inf extrema seeds and the 0 mean never
-     leak into the merged moments. *)
-  if a.count = 0 then { b with count = b.count }
-  else if b.count = 0 then { a with count = a.count }
-  else begin
-    let ca = float_of_int a.count and cb = float_of_int b.count in
-    let n = ca +. cb in
-    let delta = b.mean -. a.mean in
-    {
-      count = a.count + b.count;
-      mean = a.mean +. (delta *. (cb /. n));
-      m2 = a.m2 +. b.m2 +. (delta *. delta *. ca *. cb /. n);
-      min = Float.min a.min b.min;
-      max = Float.max a.max b.max;
-      sum = a.sum +. b.sum;
-    }
-  end
-
 let mean xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.mean: empty input";

@@ -33,16 +33,6 @@ val online_max : online -> float
 
 val online_sum : online -> float
 
-val merge : online -> online -> online
-(** [merge a b] is a fresh accumulator equivalent to feeding [a]'s
-    stream then [b]'s stream into one accumulator (Chan et al.'s
-    pairwise combine).  [count], [min], [max] are exact; [sum], [mean],
-    and the variance agree with the sequential accumulator up to
-    floating-point reassociation (not bit-for-bit).  Merging with an
-    empty accumulator returns a copy of the other side, so the
-    [infinity]/[neg_infinity] extrema seeds never contaminate the
-    result.  Neither argument is mutated. *)
-
 val mean : float array -> float
 (** Raises [Invalid_argument] on empty input. *)
 

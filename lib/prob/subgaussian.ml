@@ -1,21 +1,24 @@
-let check_c c = if c <= 1. then invalid_arg "Subgaussian: C must exceed 1"
+let check_c c =
+  if not (c > 1.) then invalid_arg "Subgaussian: C must exceed 1 (NaN refused)"
 
 let buffer ?(c = 2.) ~sigma ~horizon () =
   check_c c;
-  if sigma < 0. then invalid_arg "Subgaussian.buffer: negative sigma";
+  if not (sigma >= 0.) then
+    invalid_arg "Subgaussian.buffer: negative or NaN sigma";
   if horizon < 1 then invalid_arg "Subgaussian.buffer: horizon must be >= 1";
   sqrt (2. *. log c) *. sigma *. log (float_of_int horizon)
 
 let sigma_for_buffer ?(c = 2.) ~delta ~horizon () =
   check_c c;
-  if delta < 0. then invalid_arg "Subgaussian.sigma_for_buffer: negative delta";
+  if not (delta >= 0.) then
+    invalid_arg "Subgaussian.sigma_for_buffer: negative or NaN delta";
   if horizon < 2 then
     invalid_arg "Subgaussian.sigma_for_buffer: horizon must be >= 2";
   delta /. (sqrt (2. *. log c) *. log (float_of_int horizon))
 
 let tail_bound ?(c = 2.) ~sigma ~z () =
   check_c c;
-  if z < 0. then invalid_arg "Subgaussian.tail_bound: negative z";
+  if not (z >= 0.) then invalid_arg "Subgaussian.tail_bound: negative or NaN z";
   if sigma = 0. then (if z > 0. then 0. else 1.)
   else Float.min 1. (c *. exp (-.(z *. z) /. (2. *. sigma *. sigma)))
 

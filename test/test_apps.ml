@@ -184,6 +184,12 @@ let test_rental_workload () =
     | (_ : int -> Vec.t * float) -> false
     | exception Invalid_argument _ -> true)
 
+let test_rental_workload_refuses_nan () =
+  let s = Lazy.force rental_setup in
+  Alcotest.check_raises "nan ratio"
+    (Invalid_argument "Rental.workload: ratio must be in [0, 1), not NaN")
+    (fun () -> ignore (Rental.workload s ~ratio:nan : int -> Vec.t * float))
+
 let test_rental_run () =
   let s = Lazy.force rental_setup in
   let ours = Rental.run ~ratio:0.6 s Mechanism.with_reserve in
@@ -337,6 +343,8 @@ let () =
         [
           Alcotest.test_case "fit" `Slow test_rental_fit;
           Alcotest.test_case "workload" `Slow test_rental_workload;
+          Alcotest.test_case "workload refuses NaN ratio" `Slow
+            test_rental_workload_refuses_nan;
           Alcotest.test_case "run" `Slow test_rental_run;
           Alcotest.test_case "baseline ordering" `Slow
             test_rental_baseline_ratio_ordering;

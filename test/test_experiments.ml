@@ -256,31 +256,6 @@ let test_incell_kernel_determinism () =
 
 (* ------------------------------------------------------------------ *)
 
-let test_longrun_smoke () =
-  (* scale 1e-4 clamps the horizon to its 100-round floor; all four
-     variants must still verify bit-identical against the sequential
-     reference. *)
-  let out =
-    render (fun ppf -> Dm_experiments.Longrun.report ~scale:0.0001 ~seed:3 ppf)
-  in
-  check_bool "all four variants" true
-    (contains out "pure" && contains out "reserve+unc");
-  check_bool "merge verified" true (contains out "4/4 variants bit-identical");
-  check_bool "no mismatch" true (not (contains out "MISMATCH"))
-
-let test_longrun_jobs_independent () =
-  let at jobs =
-    render (fun ppf ->
-        Dm_experiments.Longrun.report ~scale:0.0001 ~seed:3 ~jobs ppf)
-  in
-  check_string "jobs-independent bytes" (at 1) (at 2);
-  Pool.with_pool ~jobs:3 (fun pool ->
-      check_string "explicit pool bytes" (at 1)
-        (render (fun ppf ->
-             Dm_experiments.Longrun.report ~scale:0.0001 ~seed:3 ~pool ppf)))
-
-(* ------------------------------------------------------------------ *)
-
 module Stress = Dm_experiments.Stress
 
 let test_stress_smoke () =
@@ -372,12 +347,6 @@ let () =
           Alcotest.test_case "smoke (tiny)" `Slow test_stress_smoke;
           Alcotest.test_case "jobs-independent bytes" `Slow
             test_stress_jobs_independent;
-        ] );
-      ( "longrun",
-        [
-          Alcotest.test_case "smoke (tiny)" `Quick test_longrun_smoke;
-          Alcotest.test_case "jobs-independent bytes" `Slow
-            test_longrun_jobs_independent;
         ] );
       ( "auction",
         [

@@ -1491,7 +1491,12 @@ let test_broker_checkpoints () =
   let sorted = Array.copy c in
   Array.sort compare sorted;
   check_bool "strictly increasing" true (sorted = c);
-  check_bool "reasonable count" true (Array.length c <= 220)
+  check_bool "reasonable count" true (Array.length c <= 220);
+  (* Horizons shorter than the ≈200-point target get every round. *)
+  check_int "rounds=1 default checkpoints" 1
+    (Array.length (Broker.default_checkpoints ~rounds:1));
+  check_int "rounds=5 default checkpoints" 5
+    (Array.length (Broker.default_checkpoints ~rounds:5))
 
 let test_broker_edge_cases () =
   let model = Model.linear ~theta:[| 1. |] in
@@ -1561,272 +1566,6 @@ let test_broker_checkpoint_validation () =
   check_int "bounds accepted" 2
     (Array.length (run [| 1; 10 |]).Broker.series.Broker.checkpoints)
 
-(* ------------------------------------------------------------------ *)
-(* Sharded broker                                                      *)
-(* ------------------------------------------------------------------ *)
-
-module Pool = Dm_linalg.Pool
-module Stats = Dm_prob.Stats
-
-(* A table-backed market: all per-round inputs are materialized from
-   the seed up front, so [workload] and [noise] are pure in [t] and
-   safe to call from any domain — the [run_sharded] contract (the
-   stateful-cursor [linear_market] above deliberately is not).
-   Reserves straddle the market value so skip rounds occur too. *)
-let sharded_market ~seed ~dim ~rounds =
-  let rng = Rng.create seed in
-  let theta =
-    Vec.scale (sqrt (2. *. float_of_int dim)) (positive_unit rng ~dim)
-  in
-  let model = Model.linear ~theta in
-  let wl_rng = Rng.create (seed + 1) in
-  let stream =
-    Array.init rounds (fun _ ->
-        let x = positive_unit wl_rng ~dim in
-        (x, Vec.dot x theta *. Rng.uniform wl_rng 0.6 1.15))
-  in
-  let noise_rng = Rng.create (seed + 2) in
-  let noise_table =
-    Array.init rounds (fun _ -> Dist.normal noise_rng ~mean:0. ~std:0.005)
-  in
-  (model, (fun t -> stream.(t)), (fun t -> noise_table.(t)))
-
-let shard_variants =
-  [|
-    Mechanism.pure;
-    Mechanism.with_uncertainty ~delta:0.01;
-    Mechanism.with_reserve;
-    Mechanism.with_reserve_and_uncertainty ~delta:0.01;
-  |]
-
-let shard_mech ~dim ~rounds variant =
-  let epsilon = Dm_prob.Subgaussian.default_threshold ~dim ~horizon:rounds in
-  Mechanism.create
-    (Mechanism.config ~variant ~epsilon ())
-    (Ellipsoid.ball ~dim ~radius:(2. *. sqrt (float_of_int dim)))
-
-let series_eq (a : Broker.series) (b : Broker.series) =
-  a.Broker.checkpoints = b.Broker.checkpoints
-  && floats_eq a.Broker.cumulative_regret b.Broker.cumulative_regret
-  && floats_eq a.Broker.cumulative_value b.Broker.cumulative_value
-  && floats_eq a.Broker.regret_ratio b.Broker.regret_ratio
-
-let results_bit_identical (a : Broker.result) (b : Broker.result) =
-  series_eq a.Broker.series b.Broker.series
-  && bits a.Broker.total_regret = bits b.Broker.total_regret
-  && bits a.Broker.total_value = bits b.Broker.total_value
-  && bits a.Broker.total_revenue = bits b.Broker.total_revenue
-  && bits a.Broker.regret_ratio = bits b.Broker.regret_ratio
-  && a.Broker.exploratory = b.Broker.exploratory
-  && a.Broker.conservative = b.Broker.conservative
-  && a.Broker.skipped = b.Broker.skipped
-  && a.Broker.accepted_rounds = b.Broker.accepted_rounds
-
-(* Merged Stats go through [Stats.merge]: count exact, extrema exact
-   up to the NaN-when-empty convention, moments within reassociation
-   tolerance. *)
-let summaries_close (a : Stats.summary) (b : Stats.summary) =
-  let close x y =
-    (Float.is_nan x && Float.is_nan y) || abs_float (x -. y) < 1e-7
-  in
-  let exact x y = (Float.is_nan x && Float.is_nan y) || bits x = bits y in
-  a.Stats.count = b.Stats.count
-  && close a.Stats.mean b.Stats.mean
-  && close a.Stats.std b.Stats.std
-  && close a.Stats.sum b.Stats.sum
-  && exact a.Stats.min b.Stats.min
-  && exact a.Stats.max b.Stats.max
-
-let sharded_props =
-  [
-    prop "exact mode byte-identical to run (rounds × shards × variant × jobs)"
-      18
-      QCheck.(
-        quad (int_range 0 9999) (int_range 1 260) (int_range 0 3)
-          (int_range 0 2))
-      (fun (seed, rounds, vi, ji) ->
-        let jobs = [| 1; 2; 4 |].(ji) in
-        let shards = 1 + (seed mod 5) in
-        let dim = 2 + (seed mod 3) in
-        let variant = shard_variants.(vi) in
-        let model, workload, noise = sharded_market ~seed ~dim ~rounds in
-        let reference =
-          Broker.run ~record_rounds:true
-            ~policy:(Broker.Ellipsoid_pricing (shard_mech ~dim ~rounds variant))
-            ~model ~noise ~workload ~rounds ()
-        in
-        let sharded =
-          Pool.with_pool ~jobs (fun pool ->
-              Broker.run_sharded ~record_rounds:true ~pool ~shards
-                ~policy:
-                  (Broker.Ellipsoid_pricing (shard_mech ~dim ~rounds variant))
-                ~model ~noise ~workload ~rounds ())
-        in
-        results_bit_identical reference sharded
-        && reference.Broker.logs = sharded.Broker.logs
-        && summaries_close reference.Broker.market_value_stats
-             sharded.Broker.market_value_stats
-        && summaries_close reference.Broker.reserve_stats
-             sharded.Broker.reserve_stats
-        && summaries_close reference.Broker.posted_stats
-             sharded.Broker.posted_stats
-        && summaries_close reference.Broker.regret_stats
-             sharded.Broker.regret_stats);
-    prop "warm start at stride 1 equals exact mode" 12
-      QCheck.(pair (int_range 0 9999) (int_range 1 200))
-      (fun (seed, rounds) ->
-        let dim = 3 in
-        let shards = 1 + (seed mod 6) in
-        let variant = shard_variants.(seed mod 4) in
-        let model, workload, noise = sharded_market ~seed ~dim ~rounds in
-        let go mode =
-          Broker.run_sharded ~mode ~shards
-            ~policy:(Broker.Ellipsoid_pricing (shard_mech ~dim ~rounds variant))
-            ~model ~noise ~workload ~rounds ()
-        in
-        results_bit_identical (go Broker.Exact)
-          (go (Broker.Warm_start { stride = 1 })));
-  ]
-
-let test_sharded_edge_cases () =
-  let dim = 2 in
-  let rounds_max = 100 in
-  let model, workload, noise = sharded_market ~seed:77 ~dim ~rounds:rounds_max in
-  let mech () = shard_mech ~dim ~rounds:rounds_max Mechanism.with_reserve in
-  let run_ref ?checkpoints rounds =
-    Broker.run ?checkpoints
-      ~policy:(Broker.Ellipsoid_pricing (mech ()))
-      ~model ~noise ~workload ~rounds ()
-  in
-  let run_sh ?checkpoints ?mode ?shards rounds =
-    Broker.run_sharded ?checkpoints ?mode ?shards
-      ~policy:(Broker.Ellipsoid_pricing (mech ()))
-      ~model ~noise ~workload ~rounds ()
-  in
-  (* rounds = 1: the shard count clamps to the horizon. *)
-  check_bool "single round identical" true
-    (results_bit_identical (run_ref 1) (run_sh 1));
-  check_int "rounds=1 default checkpoints" 1
-    (Array.length (Broker.default_checkpoints ~rounds:1));
-  (* More shards than rounds. *)
-  check_bool "shards > rounds" true
-    (results_bit_identical (run_ref 3) (run_sh ~shards:64 3));
-  (* Horizon shorter than the ≈200-point checkpoint target. *)
-  check_int "rounds=5 default checkpoints" 5
-    (Array.length (Broker.default_checkpoints ~rounds:5));
-  check_bool "rounds below checkpoint target" true
-    (results_bit_identical (run_ref 5) (run_sh ~shards:2 5));
-  (* Checkpoints landing exactly on the shard boundaries (t = 25, 50,
-     75 with 4 shards over 100 rounds) and just after them. *)
-  let cps = [| 1; 25; 26; 50; 75; 76; 100 |] in
-  check_bool "checkpoint on shard boundary" true
-    (results_bit_identical
-       (run_ref ~checkpoints:cps 100)
-       (run_sh ~checkpoints:cps ~shards:4 100));
-  (* Risk-averse shards trivially (stateless), in either mode. *)
-  let base_ref =
-    Broker.run ~policy:Broker.Risk_averse ~model ~noise ~workload ~rounds:100 ()
-  in
-  check_bool "risk-averse sharded" true
-    (results_bit_identical base_ref
-       (Broker.run_sharded ~policy:Broker.Risk_averse ~shards:7 ~model ~noise
-          ~workload ~rounds:100 ()));
-  check_bool "risk-averse warm start" true
-    (results_bit_identical base_ref
-       (Broker.run_sharded
-          ~mode:(Broker.Warm_start { stride = 3 })
-          ~policy:Broker.Risk_averse ~shards:7 ~model ~noise ~workload
-          ~rounds:100 ()));
-  (* In exact mode a caller-supplied mechanism ends in the same state
-     as after the sequential run. *)
-  let m1 = mech () and m2 = mech () in
-  ignore
-    (Broker.run
-       ~policy:(Broker.Ellipsoid_pricing m1)
-       ~model ~noise ~workload ~rounds:100 ());
-  ignore
-    (Broker.run_sharded
-       ~policy:(Broker.Ellipsoid_pricing m2)
-       ~shards:4 ~model ~noise ~workload ~rounds:100 ());
-  check_bool "mechanism state parity" true
-    (Mechanism.snapshot m1 = Mechanism.snapshot m2);
-  (* Rejections: Custom policies, non-positive shards/stride, and
-     malformed checkpoints under the run_sharded error prefix. *)
-  let expect_invalid name f =
-    check_bool name true
-      (match f () with
-      | exception Invalid_argument msg ->
-          String.length msg >= 18
-          && String.sub msg 0 18 = "Broker.run_sharded"
-      | _ -> false)
-  in
-  let custom =
-    {
-      Broker.policy_name = "noop";
-      decide = (fun ~x:_ ~reserve:_ -> None);
-      learn = (fun ~x:_ ~price:_ ~accepted:_ -> ());
-      uses_reserve = true;
-    }
-  in
-  expect_invalid "custom policy rejected" (fun () ->
-      Broker.run_sharded ~policy:(Broker.Custom custom) ~model ~noise ~workload
-        ~rounds:10 ());
-  expect_invalid "zero shards rejected" (fun () -> run_sh ~shards:0 10);
-  expect_invalid "zero stride rejected" (fun () ->
-      run_sh ~mode:(Broker.Warm_start { stride = 0 }) 10);
-  expect_invalid "unsorted checkpoints rejected" (fun () ->
-      run_sh ~checkpoints:[| 5; 2 |] 10);
-  expect_invalid "checkpoint beyond horizon rejected" (fun () ->
-      run_sh ~checkpoints:[| 2; 11 |] 10)
-
-let test_warm_start_tolerance () =
-  (* 10⁵-round smoke: warm-start replays from strided boundary
-     snapshots, so shard 0's checkpoints stay bit-identical and the
-     tail ratios drift only within tolerance. *)
-  let dim = 8 and rounds = 100_000 in
-  let shards = 8 in
-  let model, workload, noise = sharded_market ~seed:123 ~dim ~rounds in
-  let variant = Mechanism.with_reserve in
-  let reference =
-    Broker.run
-      ~policy:(Broker.Ellipsoid_pricing (shard_mech ~dim ~rounds variant))
-      ~model ~noise ~workload ~rounds ()
-  in
-  let warm =
-    Pool.with_pool ~jobs:2 (fun pool ->
-        Broker.run_sharded ~pool ~shards
-          ~mode:(Broker.Warm_start { stride = 4 })
-          ~policy:(Broker.Ellipsoid_pricing (shard_mech ~dim ~rounds variant))
-          ~model ~noise ~workload ~rounds ())
-  in
-  let cps = reference.Broker.series.Broker.checkpoints in
-  let first_boundary = rounds / shards in
-  Array.iteri
-    (fun i cp ->
-      if cp <= first_boundary then
-        check_bool
-          (Printf.sprintf "shard-0 prefix identical at t=%d" cp)
-          true
-          (bits reference.Broker.series.Broker.cumulative_regret.(i)
-          = bits warm.Broker.series.Broker.cumulative_regret.(i)))
-    cps;
-  let drift = ref 0. in
-  Array.iteri
-    (fun i r ->
-      let d = abs_float (r -. warm.Broker.series.Broker.regret_ratio.(i)) in
-      if d > !drift then drift := d)
-    reference.Broker.series.Broker.regret_ratio;
-  (* Measured ≈5.2e-2 at stride 4 on this setup; the bound leaves a 2×
-     margin without hiding a gross warm-start bug. *)
-  check_bool
-    (Printf.sprintf "ratio drift %.2e within tolerance" !drift)
-    true (!drift < 0.1);
-  (* The cumulative market value is mechanism-independent, so it never
-     drifts at all. *)
-  check_bool "market value identical" true
-    (floats_eq reference.Broker.series.Broker.cumulative_value
-       warm.Broker.series.Broker.cumulative_value)
-
 let test_broker_log_linear_consistency () =
   (* Under the log-linear model the broker's value-space accounting
      must match exp of the index space. *)
@@ -1862,6 +1601,47 @@ let test_broker_log_linear_consistency () =
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* In-place edits of a binary snapshot image, for the corruption cases
+   below. *)
+let patch img edit =
+  let b = Bytes.of_string img in
+  edit b;
+  Bytes.to_string b
+
+let set_u8 off v b = Bytes.set_uint8 b off v
+let set_u32 off v b = Bytes.set_int32_le b off (Int32.of_int v)
+let set_u64 off v b = Bytes.set_int64_le b off v
+let set_f64 off v b = Bytes.set_int64_le b off (Int64.bits_of_float v)
+
+(* Byte offsets in an ellipsoid image (["dm-ell/3"]): the 8-byte magic,
+   dim (u32), scale (f64), cuts since the volume resync (u32), the
+   log-volume cache (f64), then the center and the row-major shape. *)
+let ell_dim = 8
+let ell_scale = 12
+let ell_center = 32
+let ell_shape ~dim = ell_center + (8 * dim)
+
+(* Byte offsets in a mechanism image: the 8-byte magic, use_reserve
+   (u8), δ (f64), allow_conservative_cuts (u8), sparse_cuts (u8), ε
+   (f64), three u64 round counters, then the projection (dm-mech4) or
+   robust (dm-mech5) block, then the ellipsoid image.  A dense image
+   (dm-mech3) has no block, so its ellipsoid starts at [mech_block]. *)
+let mech_use_reserve = 8
+let mech_delta = 9
+let mech_sparse = 18
+let mech_epsilon = 19
+let mech_exploratory = 27
+let mech_block = 51
+
+let is_error = function Error _ -> true | Ok _ -> false
+
+let restore_refused name img =
+  match Mechanism.restore img with
+  | Error msg ->
+      check_bool (name ^ " message prefixed") true
+        (String.length msg >= 19 && String.sub msg 0 19 = "Mechanism.restore: ")
+  | Ok _ -> Alcotest.failf "%s: corrupt snapshot accepted" name
+
 let test_ellipsoid_serialization_roundtrip () =
   (* Run some cuts so the state is non-trivial, then round-trip. *)
   let e = ref (Ellipsoid.ball ~dim:4 ~radius:2.) in
@@ -1871,7 +1651,7 @@ let test_ellipsoid_serialization_roundtrip () =
     let b = Ellipsoid.bounds !e ~x in
     e := Ellipsoid.apply !e (Ellipsoid.cut_below !e ~x ~price:b.Ellipsoid.mid)
   done;
-  match Ellipsoid.deserialize (Ellipsoid.serialize !e) with
+  match Ellipsoid.deserialize_binary (Ellipsoid.serialize_binary !e) with
   | Error msg -> Alcotest.fail msg
   | Ok e' ->
       check_bool "center exact" true
@@ -1880,16 +1660,43 @@ let test_ellipsoid_serialization_roundtrip () =
         (Mat.approx_equal ~tol:0. !e.Ellipsoid.shape e'.Ellipsoid.shape)
 
 let test_ellipsoid_deserialize_errors () =
-  let expect_error text =
-    match Ellipsoid.deserialize text with Error _ -> true | Ok _ -> false
+  let img = Ellipsoid.serialize_binary (Ellipsoid.ball ~dim:2 ~radius:1.) in
+  let refused name img' =
+    check_bool name true (is_error (Ellipsoid.deserialize_binary img'))
   in
-  check_bool "bad header" true (expect_error "nope/1\n2\n0x0p+0 0x0p+0\n");
-  check_bool "truncated" true (expect_error "ellipsoid/1\n2");
-  check_bool "bad dim" true (expect_error "ellipsoid/1\nzz\na\nb\n");
-  check_bool "length mismatch" true
-    (expect_error "ellipsoid/1\n2\n0x1p+0\n0x1p+0 0x0p+0 0x0p+0 0x1p+0\n");
-  check_bool "bad float" true
-    (expect_error "ellipsoid/1\n1\nnot-a-float\n0x1p+0\n")
+  check_bool "valid image accepted" false
+    (is_error (Ellipsoid.deserialize_binary img));
+  refused "bad magic" (patch img (set_u8 0 (Char.code 'x')));
+  refused "empty" "";
+  refused "truncated" (String.sub img 0 (String.length img - 1));
+  refused "header only" (String.sub img 0 ell_center);
+  refused "zero dim" (patch img (set_u32 ell_dim 0));
+  refused "oversized dim" (patch img (set_u32 ell_dim ((1 lsl 20) + 1)));
+  refused "nan scale" (patch img (set_f64 ell_scale Float.nan));
+  refused "zero scale" (patch img (set_f64 ell_scale 0.));
+  refused "negative scale" (patch img (set_f64 ell_scale (-1.)));
+  refused "infinite scale" (patch img (set_f64 ell_scale Float.infinity))
+
+(* A forged dimension on a short image: the decoder must check the
+   length before it allocates the dim + dim² entries the dimension
+   claims. *)
+let test_forged_dim_allocates_nothing () =
+  let dim = 2048 in
+  let img =
+    patch
+      (Ellipsoid.serialize_binary (Ellipsoid.ball ~dim:1 ~radius:1.))
+      (set_u32 ell_dim dim)
+  in
+  (* The header, a full center and one shape entry: 16,424 bytes. *)
+  let img = img ^ String.make ((8 * dim) - 8) '\000' in
+  check_int "image length" (ell_shape ~dim + 8) (String.length img);
+  let before = Gc.allocated_bytes () in
+  let result = Ellipsoid.deserialize_binary img in
+  let allocated = Gc.allocated_bytes () -. before in
+  check_bool "truncated image refused" true (is_error result);
+  check_bool
+    (Printf.sprintf "allocated %.0f bytes, under 1 MB" allocated)
+    true (allocated < 1e6)
 
 let test_mechanism_snapshot_roundtrip () =
   let mech =
@@ -1904,7 +1711,7 @@ let test_mechanism_snapshot_roundtrip () =
       (Mechanism.step mech ~x ~reserve:(Rng.uniform rng 0. 0.5)
          ~market_index:(Rng.uniform rng (-1.) 1.))
   done;
-  match Mechanism.restore (Mechanism.snapshot mech) with
+  match Mechanism.restore (Mechanism.snapshot_binary mech) with
   | Error msg -> Alcotest.fail msg
   | Ok mech' ->
       check_int "exploratory counter" (Mechanism.exploratory_rounds mech)
@@ -1921,38 +1728,57 @@ let test_mechanism_snapshot_roundtrip () =
         (Mechanism.decide mech ~x ~reserve:0.1
         = Mechanism.decide mech' ~x ~reserve:0.1)
 
+let dense_snapshot () =
+  Mechanism.snapshot_binary
+    (mk_mech
+       ~variant:(Mechanism.with_reserve_and_uncertainty ~delta:0.03)
+       ~epsilon:0.2 ~dim:2 ~radius:1. ())
+
 let test_mechanism_restore_errors () =
-  check_bool "garbage rejected" true
-    (match Mechanism.restore "garbage" with Error _ -> true | Ok _ -> false);
-  check_bool "bad state line rejected" true
-    (match Mechanism.restore "mechanism/1\nnot numbers\nellipsoid/1\n" with
-    | Error _ -> true
-    | Ok _ -> false)
+  let snap = dense_snapshot () in
+  check_bool "valid image accepted" false (is_error (Mechanism.restore snap));
+  restore_refused "garbage" "garbage";
+  restore_refused "empty" "";
+  restore_refused "unknown magic" (patch snap (set_u8 7 (Char.code '9')));
+  restore_refused "truncated" (String.sub snap 0 (String.length snap - 1));
+  restore_refused "truncated header" (String.sub snap 0 20);
+  restore_refused "flag byte 2" (patch snap (set_u8 mech_use_reserve 2));
+  restore_refused "flag byte 255" (patch snap (set_u8 mech_sparse 255));
+  restore_refused "counter with its top bit set"
+    (patch snap (set_u64 mech_exploratory Int64.min_int));
+  restore_refused "bad ellipsoid magic"
+    (patch snap (set_u8 mech_block (Char.code 'x')))
 
 let test_non_finite_rejected () =
   (* NaN sails through the symmetry and positive-diagonal checks
-     (every NaN comparison is false), so deserializers must reject
-     non-finite literals explicitly. *)
-  let expect_error text =
-    match Ellipsoid.deserialize text with Error _ -> true | Ok _ -> false
+     (every NaN comparison is false), so the decoders must reject
+     non-finite entries explicitly. *)
+  let img = Ellipsoid.serialize_binary (Ellipsoid.ball ~dim:2 ~radius:1.) in
+  let refused name edit =
+    check_bool name true (is_error (Ellipsoid.deserialize_binary (patch img edit)))
   in
-  check_bool "nan center" true
-    (expect_error "ellipsoid/1\n2\nnan 0x0p+0\n0x1p+0 0x0p+0 0x0p+0 0x1p+0\n");
-  check_bool "inf shape entry" true
-    (expect_error "ellipsoid/1\n2\n0x0p+0 0x0p+0\ninf 0x0p+0 0x0p+0 0x1p+0\n");
-  check_bool "negative-infinity center" true
-    (expect_error "ellipsoid/1\n1\n-infinity\n0x1p+0\n");
-  let ell = Ellipsoid.serialize (Ellipsoid.ball ~dim:1 ~radius:1.) in
-  let reject state =
-    match Mechanism.restore (Printf.sprintf "mechanism/1\n%s\n%s" state ell) with
-    | Error _ -> true
-    | Ok _ -> false
+  refused "nan center" (set_f64 ell_center Float.nan);
+  refused "infinite center" (set_f64 (ell_center + 8) Float.infinity);
+  refused "negative-infinity center" (set_f64 ell_center Float.neg_infinity);
+  refused "nan shape diagonal" (set_f64 (ell_shape ~dim:2) Float.nan);
+  refused "infinite shape diagonal" (set_f64 (ell_shape ~dim:2) Float.infinity);
+  (* A symmetric pair, so only the finiteness check can refuse it. *)
+  let pair v b =
+    set_f64 (ell_shape ~dim:2 + 8) v b;
+    set_f64 (ell_shape ~dim:2 + 16) v b
   in
-  check_bool "nan delta" true (reject "true nan false 0x1p-3 0 0 0");
-  check_bool "nan epsilon" true (reject "false 0x0p+0 false nan 0 0 0");
-  check_bool "infinite epsilon" true
-    (reject "false 0x0p+0 false infinity 0 0 0");
-  check_bool "negative counter" true (reject "false 0x0p+0 false 0x1p-3 -1 0 0");
+  refused "nan off-diagonal pair" (pair Float.nan);
+  refused "infinite off-diagonal pair" (pair Float.infinity);
+  let snap = dense_snapshot () in
+  restore_refused "nan delta" (patch snap (set_f64 mech_delta Float.nan));
+  restore_refused "infinite delta" (patch snap (set_f64 mech_delta Float.infinity));
+  restore_refused "negative delta" (patch snap (set_f64 mech_delta (-0.5)));
+  restore_refused "nan epsilon" (patch snap (set_f64 mech_epsilon Float.nan));
+  restore_refused "infinite epsilon"
+    (patch snap (set_f64 mech_epsilon Float.infinity));
+  restore_refused "zero epsilon" (patch snap (set_f64 mech_epsilon 0.));
+  restore_refused "nan ellipsoid center"
+    (patch snap (set_f64 (mech_block + ell_center) Float.nan));
   check_bool "nan delta at construction" true
     (match Mechanism.with_uncertainty ~delta:nan with
     | exception Invalid_argument _ -> true
@@ -1970,13 +1796,14 @@ let random_ellipsoid seed dim cuts =
 
 let serialization_props =
   [
-    prop "ellipsoid serialize/deserialize is bit-for-bit" 50
+    prop "ellipsoid binary round-trip is bit-for-bit" 50
       QCheck.(triple (0 -- 1000) (1 -- 5) (0 -- 25))
       (fun (seed, dim, cuts) ->
         let e = random_ellipsoid seed dim cuts in
-        match Ellipsoid.deserialize (Ellipsoid.serialize e) with
+        let img = Ellipsoid.serialize_binary e in
+        match Ellipsoid.deserialize_binary img with
         | Error _ -> false
-        | Ok e' -> Ellipsoid.serialize e' = Ellipsoid.serialize e);
+        | Ok e' -> Ellipsoid.serialize_binary e' = img);
     prop "mechanism snapshot/restore is bit-for-bit" 50
       QCheck.(quad (0 -- 1000) (1 -- 4) (0 -- 40) bool)
       (fun (seed, dim, steps, with_delta) ->
@@ -1999,9 +1826,10 @@ let serialization_props =
         done;
         (* Snapshot equality covers config, counters, and every
            ellipsoid bit at once. *)
-        match Mechanism.restore (Mechanism.snapshot mech) with
+        let img = Mechanism.snapshot_binary mech in
+        match Mechanism.restore img with
         | Error _ -> false
-        | Ok mech' -> Mechanism.snapshot mech' = Mechanism.snapshot mech);
+        | Ok mech' -> Mechanism.snapshot_binary mech' = img);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -2091,28 +1919,17 @@ let projected_mech_after ~steps ~seed =
 
 let test_projected_snapshot_roundtrip () =
   let mech = projected_mech_after ~steps:25 ~seed:77 in
-  let text = Mechanism.snapshot mech in
-  check_bool "v2 text header" true
-    (String.length text > 12 && String.sub text 0 12 = "mechanism/2\n");
   let bin = Mechanism.snapshot_binary mech in
   check_bool "v4 binary magic" true
     (String.length bin > 8 && String.sub bin 0 8 = Mechanism.binary_magic_v4);
-  let from_text =
-    match Mechanism.restore text with
-    | Error msg -> Alcotest.fail msg
-    | Ok m -> m
-  in
   let from_bin =
     match Mechanism.restore bin with
     | Error msg -> Alcotest.fail msg
     | Ok m -> m
   in
-  check_bool "text snapshot stable" true (Mechanism.snapshot from_text = text);
   check_bool "binary snapshot stable" true
     (Mechanism.snapshot_binary from_bin = bin);
-  check_bool "binary and text restore agree" true
-    (Mechanism.snapshot from_bin = text);
-  (match Mechanism.projection from_text with
+  (match Mechanism.projection from_bin with
   | None -> Alcotest.fail "restored mechanism lost its projection"
   | Some (p, err) ->
       check_bool "projection entries exact" true
@@ -2132,45 +1949,35 @@ let test_projected_snapshot_roundtrip () =
       (decisions_bit_equal d d' && acc = acc')
   done
 
+(* The projection block of a dm-mech4 image: k and n (u32 each), the
+   error bound (f64), then P's row-major entries. *)
+let proj_rank = mech_block
+let proj_err = mech_block + 8
+let proj_entries = mech_block + 16
+
 let test_projected_restore_errors () =
-  let state = "false 0x0p+0 false 0x1p-3 0 0 0" in
-  let ell dim = Ellipsoid.serialize (Ellipsoid.ball ~dim ~radius:1.) in
-  let entries8 =
-    "0x1p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x1p+0 0x0p+0 0x0p+0"
-  in
-  let reject name text =
-    match Mechanism.restore text with
-    | Error msg ->
-        check_bool (name ^ " message prefixed") true
-          (String.length msg >= 19
-          && String.sub msg 0 19 = "Mechanism.restore: ")
-    | Ok _ -> Alcotest.failf "%s: corrupt snapshot accepted" name
-  in
-  let snap ?(proj = "proj 2 4 0x0p+0") ?(entries = entries8) ?(edim = 2) () =
-    Printf.sprintf "mechanism/2\n%s\n%s\n%s\n%s" state proj entries (ell edim)
-  in
-  (match Mechanism.restore (snap ()) with
-  | Error msg -> Alcotest.fail msg
-  | Ok _ -> ());
-  reject "rank/ellipsoid mismatch" (snap ~edim:3 ());
-  reject "zero rank" (snap ~proj:"proj 0 4 0x0p+0" ());
-  reject "negative err" (snap ~proj:"proj 2 4 -0x1p-3" ());
-  reject "infinite err" (snap ~proj:"proj 2 4 inf" ());
-  reject "nan err" (snap ~proj:"proj 2 4 nan" ());
-  reject "non-finite entry"
-    (snap ~entries:(entries8 ^ " nan") ~proj:"proj 3 3 0x0p+0" ~edim:3 ());
-  reject "entry count mismatch"
-    (snap ~entries:"0x1p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x1p+0 0x0p+0" ());
-  reject "truncated header" "mechanism/2\nfalse 0x0p+0 false 0x1p-3 0 0 0";
-  (* Binary: cut a valid v4 snapshot mid-projection-block. *)
+  (* k = 2 over n = 4: the ellipsoid image follows 8 entries. *)
   let bin = Mechanism.snapshot_binary (projected_mech_after ~steps:5 ~seed:79) in
-  reject "truncated binary" (String.sub bin 0 (String.length bin / 2));
-  reject "binary bad rank"
-    (let b = Bytes.of_string bin in
-     (* The rank u32 sits after magic(8), three u8 flags, two f64s and
-        three u64 counters = byte 51. *)
-     Bytes.set_int32_le b 51 0l;
-     Bytes.to_string b)
+  check_bool "valid image accepted" false (is_error (Mechanism.restore bin));
+  (* Splice a 3-dim ellipsoid after the rank-2 projection block. *)
+  let ell_at = proj_entries + (8 * 2 * 4) in
+  let splice dim =
+    String.sub bin 0 ell_at
+    ^ Ellipsoid.serialize_binary (Ellipsoid.ball ~dim ~radius:1.)
+  in
+  check_bool "spliced image accepted" false (is_error (Mechanism.restore (splice 2)));
+  restore_refused "rank/ellipsoid mismatch" (splice 3);
+  restore_refused "zero rank" (patch bin (set_u32 proj_rank 0));
+  restore_refused "negative err" (patch bin (set_f64 proj_err (-0.125)));
+  restore_refused "infinite err" (patch bin (set_f64 proj_err Float.infinity));
+  restore_refused "nan err" (patch bin (set_f64 proj_err Float.nan));
+  restore_refused "non-finite entry"
+    (patch bin (set_f64 (proj_entries + 24) Float.nan));
+  restore_refused "infinite entry"
+    (patch bin (set_f64 proj_entries Float.neg_infinity));
+  restore_refused "truncated binary" (String.sub bin 0 (String.length bin / 2));
+  restore_refused "truncated projection block"
+    (String.sub bin 0 (proj_entries + 8))
 
 let projected_props =
   [
@@ -2196,12 +2003,10 @@ let projected_props =
                ~reserve:(Rng.uniform rng 0. 0.5)
                ~market_index:(Rng.uniform rng (-1.) 1.))
         done;
-        let text = Mechanism.snapshot mech in
         let bin = Mechanism.snapshot_binary mech in
-        match (Mechanism.restore text, Mechanism.restore bin) with
-        | Ok a, Ok b ->
-            Mechanism.snapshot a = text && Mechanism.snapshot_binary b = bin
-        | _ -> false);
+        match Mechanism.restore bin with
+        | Ok b -> Mechanism.snapshot_binary b = bin
+        | Error _ -> false);
     prop "identity projection is bit-identical to dense" 20
       QCheck.(pair (0 -- 1000) (1 -- 8))
       (fun (seed, dim) ->
@@ -2597,15 +2402,11 @@ let test_inplace_contract () =
   | _ -> Alcotest.fail "dense-direction cut must succeed"
 
 let test_scaled_serialization () =
-  (* scale = 1 keeps the v1 byte format; a pending scalar upgrades to
-     ellipsoid/2, and both round-trip bit-for-bit. *)
+  (* A pending sparse-path scalar travels with the rest of the record:
+     the round-trip is bit-for-bit, the scale included. *)
   let dim = 16 in
-  let e1 = Ellipsoid.ball ~dim ~radius:4. in
-  check_bool "v1 header at scale 1" true
-    (String.length (Ellipsoid.serialize e1) > 11
-    && String.sub (Ellipsoid.serialize e1) 0 11 = "ellipsoid/1");
   let rng = Rng.create 43 in
-  let e = ref e1 in
+  let e = ref (Ellipsoid.ball ~dim ~radius:4.) in
   for _ = 1 to 5 do
     let x = sparse_dir rng ~dim in
     if Vec.norm2 x > 1e-6 then begin
@@ -2614,24 +2415,20 @@ let test_scaled_serialization () =
     end
   done;
   check_bool "scale moved off 1" true (Ellipsoid.scale !e <> 1.);
-  let text = Ellipsoid.serialize !e in
-  check_bool "v2 header once scaled" true
-    (String.sub text 0 11 = "ellipsoid/2");
-  (match Ellipsoid.deserialize text with
+  let img = Ellipsoid.serialize_binary !e in
+  (match Ellipsoid.deserialize_binary img with
   | Error msg -> Alcotest.fail msg
   | Ok e' ->
-      check_bool "v2 round-trip is bit-for-bit" true
-        (Ellipsoid.serialize e' = text);
+      check_bool "round-trip is bit-for-bit" true
+        (Ellipsoid.serialize_binary e' = img);
       check_bool "scale preserved" true
-        (Ellipsoid.scale e' = Ellipsoid.scale !e));
-  let expect_error t' =
-    match Ellipsoid.deserialize t' with Error _ -> true | Ok _ -> false
+        (bits (Ellipsoid.scale e') = bits (Ellipsoid.scale !e)));
+  let refused name img' =
+    check_bool name true (is_error (Ellipsoid.deserialize_binary img'))
   in
-  check_bool "v2 bad scale" true
-    (expect_error "ellipsoid/2\n1\nnan\n0x0p+0\n0x1p+0\n");
-  check_bool "v2 non-positive scale" true
-    (expect_error "ellipsoid/2\n1\n-0x1p+0\n0x0p+0\n0x1p+0\n");
-  check_bool "v2 truncated" true (expect_error "ellipsoid/2\n1\n0x1p+0\n")
+  refused "nan scale" (patch img (set_f64 ell_scale Float.nan));
+  refused "non-positive scale" (patch img (set_f64 ell_scale (-1.)));
+  refused "truncated" (String.sub img 0 (ell_center + 8))
 
 (* A mechanism on the sparse path vs the forced-dense reference: same
    decisions and counters, prices within the contract. *)
@@ -2696,12 +2493,12 @@ let test_mechanism_sparse_escape_safety () =
     step ()
   done;
   let seen = Mechanism.ellipsoid mech in
-  let snapshot = Ellipsoid.serialize seen in
+  let snapshot = Ellipsoid.serialize_binary seen in
   for _ = 1 to 10 do
     step ()
   done;
   check_bool "escaped ellipsoid unchanged under sparse cuts" true
-    (Ellipsoid.serialize seen = snapshot);
+    (Ellipsoid.serialize_binary seen = snapshot);
   check_bool "mechanism kept learning" true
     (not (Mechanism.ellipsoid mech == seen))
 
@@ -3253,13 +3050,6 @@ let test_make_exact_symmetry () =
     | exception Invalid_argument _ -> false)
 
 let test_asymmetric_snapshots_refused () =
-  let shape_text a b =
-    Printf.sprintf "ellipsoid/1\n2\n0x0p+0 0x0p+0\n0x1p+0 %h %h 0x1p+0\n" a b
-  in
-  let symmetric = shape_text 0.5 0.5 and asymmetric = shape_text 0.5 (Float.succ 0.5) in
-  let is_error = function Error _ -> true | Ok _ -> false in
-  check_bool "symmetric text accepted" false (is_error (Ellipsoid.deserialize symmetric));
-  check_bool "text refused" true (is_error (Ellipsoid.deserialize asymmetric));
   (* A binary image of a 2×2 ellipsoid starting at byte [at], with
      M(0,1) and M(1,0) overwritten in place: the shape follows the
      32-byte header and the two center entries. *)
@@ -3277,11 +3067,6 @@ let test_asymmetric_snapshots_refused () =
   check_bool "binary refused" true
     (is_error
        (Ellipsoid.deserialize_binary (patch img ~at:0 0.5 (Float.succ 0.5))));
-  let state = "false 0x0p+0 false 0x1p-3 0 0 0" in
-  check_bool "symmetric mechanism text accepted" false
-    (is_error (Mechanism.restore (Printf.sprintf "mechanism/1\n%s\n%s" state symmetric)));
-  check_bool "mechanism text refused" true
-    (is_error (Mechanism.restore (Printf.sprintf "mechanism/1\n%s\n%s" state asymmetric)));
   (* A dense binary mechanism snapshot ends with the ellipsoid image. *)
   let snap =
     Mechanism.snapshot_binary
@@ -3541,60 +3326,47 @@ let test_robust_snapshot_resume_midswitch () =
     (Mechanism.robust_drift_level mech > 0
     || Mechanism.robust_shade mech > 0.
     || Mechanism.robust_restarts mech > 0);
-  let text = Mechanism.snapshot mech in
   let bin = Mechanism.snapshot_binary mech in
-  let from_text =
-    match Mechanism.restore text with Ok m -> m | Error e -> Alcotest.fail e
-  in
   let from_bin =
     match Mechanism.restore bin with Ok m -> m | Error e -> Alcotest.fail e
   in
-  check_bool "binary restore reproduces the text snapshot" true
-    (Mechanism.snapshot from_bin = text);
+  check_bool "restore reproduces the snapshot" true
+    (Mechanism.snapshot_binary from_bin = bin);
   (* Resuming through the rest of the horizon must replay the original
      run bit-for-bit: same prices, same final state. *)
   let tail = drive mech s ~from:70 ~until:160 in
-  check_string "text-restored resume" tail (drive from_text s ~from:70 ~until:160);
-  check_string "binary-restored resume" tail (drive from_bin s ~from:70 ~until:160);
-  check_bool "final text state identical" true
-    (Mechanism.snapshot from_text = Mechanism.snapshot mech);
-  check_bool "final binary state identical" true
+  check_string "restored resume" tail (drive from_bin s ~from:70 ~until:160);
+  check_bool "final state identical" true
     (Mechanism.snapshot_binary from_bin = Mechanism.snapshot_binary mech)
 
-(* Field positions in the text "robust ..." line:
-   robust ee dw dt radius since_explore recent filled probe_streak
-   shade restarts. *)
-let tamper_robust_field text ~index ~value =
-  String.concat "\n"
-    (List.map
-       (fun line ->
-         if String.length line >= 7 && String.sub line 0 7 = "robust " then begin
-           let fields = String.split_on_char ' ' line in
-           String.concat " "
-             (List.mapi (fun i f -> if i = index then value else f) fields)
-         end
-         else line)
-       (String.split_on_char '\n' text))
+(* The robust block of a dm-mech5 image: explore_every, drift_window
+   and drift_trigger (u32 each), the reinflate radius (f64),
+   since_explore and the contradiction bits (u64 each), the window fill
+   and the probe streak (u32 each), the shade (f64) and the restart
+   counter (u64). *)
+let robust_explore_every = mech_block
+let robust_drift_trigger = mech_block + 8
+let robust_since_explore = mech_block + 20
+let robust_shade_at = mech_block + 44
+let robust_restarts_at = mech_block + 52
 
 let test_robust_restore_errors () =
-  let text = Mechanism.snapshot (robust_mech ()) in
-  let rejects name corrupted =
-    match Mechanism.restore corrupted with
-    | Error msg ->
-        check_bool (name ^ " message prefixed") true
-          (String.length msg >= 19
-          && String.sub msg 0 19 = "Mechanism.restore: ")
-    | Ok _ -> Alcotest.failf "%s: corrupt robust snapshot accepted" name
-  in
-  rejects "negative shade" (tamper_robust_field text ~index:9 ~value:"-0x1p-4");
-  rejects "nan shade" (tamper_robust_field text ~index:9 ~value:"nan");
-  rejects "negative restart counter"
-    (tamper_robust_field text ~index:10 ~value:"-1");
-  rejects "zero probe cadence" (tamper_robust_field text ~index:1 ~value:"0");
-  rejects "trigger above window"
-    (tamper_robust_field text ~index:3 ~value:"63");
   let bin = Mechanism.snapshot_binary (robust_mech ()) in
-  rejects "truncated binary" (String.sub bin 0 (String.length bin - 5))
+  check_bool "valid image accepted" false (is_error (Mechanism.restore bin));
+  restore_refused "negative shade"
+    (patch bin (set_f64 robust_shade_at (-0.0625)));
+  restore_refused "nan shade" (patch bin (set_f64 robust_shade_at Float.nan));
+  restore_refused "infinite shade"
+    (patch bin (set_f64 robust_shade_at Float.infinity));
+  restore_refused "zero probe cadence"
+    (patch bin (set_u32 robust_explore_every 0));
+  restore_refused "trigger above window"
+    (patch bin (set_u32 robust_drift_trigger 63));
+  restore_refused "restart counter with its top bit set"
+    (patch bin (set_u64 robust_restarts_at Int64.min_int));
+  restore_refused "since_explore with its top bit set"
+    (patch bin (set_u64 robust_since_explore Int64.min_int));
+  restore_refused "truncated binary" (String.sub bin 0 (String.length bin - 5))
 
 let robust_props =
   [
@@ -3604,14 +3376,72 @@ let robust_props =
         let s = robust_stream seed in
         let mech = robust_mech () in
         ignore (drive mech s ~from:0 ~until:steps);
-        match
-          ( Mechanism.restore (Mechanism.snapshot mech),
-            Mechanism.restore (Mechanism.snapshot_binary mech) )
-        with
-        | Ok a, Ok b ->
-            Mechanism.snapshot a = Mechanism.snapshot mech
-            && Mechanism.snapshot_binary b = Mechanism.snapshot_binary mech
-        | _ -> false);
+        let bin = Mechanism.snapshot_binary mech in
+        match Mechanism.restore bin with
+        | Ok b -> Mechanism.snapshot_binary b = bin
+        | Error _ -> false);
+  ]
+
+(* Damaged snapshots never raise: bit flips (half of them aimed at the
+   headers in the first 120 bytes), truncation and trailing garbage
+   all come back as [Ok] or [Error], from [Mechanism.restore] on a
+   dense, projected or robust image and from
+   [Ellipsoid.deserialize_binary] on that image's ellipsoid. *)
+let decoder_fuzz_props =
+  let damage rng s =
+    let n = String.length s in
+    match Rng.int rng 3 with
+    | 0 ->
+        let b = Bytes.of_string s in
+        for _ = 0 to Rng.int rng 4 do
+          let i = Rng.int rng (if Rng.int rng 2 = 0 then min n 120 else n) in
+          let bit = 1 lsl Rng.int rng 8 in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bit))
+        done;
+        Bytes.to_string b
+    | 1 -> String.sub s 0 (Rng.int rng n)
+    | _ -> s ^ String.init (1 + Rng.int rng 32) (fun _ -> Char.chr (Rng.int rng 256))
+  in
+  let survives name decode img =
+    match decode img with
+    | Ok _ | Error _ -> true
+    | exception ex ->
+        QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string ex)
+  in
+  [
+    prop "decoders never raise on flipped, truncated or extended bytes" 1000
+      QCheck.(int_range 0 1_000_000)
+      (fun seed ->
+        let rng = Rng.create seed in
+        let steps = Rng.int rng 40 in
+        let mech =
+          match Rng.int rng 3 with
+          | 0 ->
+              let dim = 1 + Rng.int rng 4 in
+              let m =
+                mk_mech
+                  ~variant:(Mechanism.with_reserve_and_uncertainty ~delta:0.03)
+                  ~epsilon:0.2 ~dim ~radius:1.5 ()
+              in
+              for _ = 1 to steps do
+                let x = Vec.normalize (Dist.normal_vec rng ~dim) in
+                ignore
+                  (Mechanism.step m ~x ~reserve:(Rng.uniform rng 0. 0.5)
+                     ~market_index:(Rng.uniform rng (-1.) 1.))
+              done;
+              m
+          | 1 -> projected_mech_after ~steps ~seed
+          | _ ->
+              let m = robust_mech () in
+              ignore (drive m (robust_stream seed) ~from:0 ~until:(2 * steps));
+              m
+        in
+        let img = Mechanism.snapshot_binary mech in
+        let ell = Ellipsoid.serialize_binary (Mechanism.ellipsoid mech) in
+        survives "Mechanism.restore" Mechanism.restore (damage rng img)
+        && survives "Ellipsoid.deserialize_binary"
+             (fun s -> Ellipsoid.deserialize_binary s)
+             (damage rng ell));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -3745,13 +3575,6 @@ let () =
           Alcotest.test_case "log-linear consistency" `Quick
             test_broker_log_linear_consistency;
         ] );
-      ( "sharded broker",
-        [
-          Alcotest.test_case "edge cases" `Quick test_sharded_edge_cases;
-          Alcotest.test_case "warm-start tolerance at 1e5 rounds" `Slow
-            test_warm_start_tolerance;
-        ]
-        @ sharded_props );
       ( "serialization",
         [
           Alcotest.test_case "ellipsoid roundtrip" `Quick
@@ -3764,13 +3587,15 @@ let () =
             test_mechanism_restore_errors;
           Alcotest.test_case "non-finite rejected" `Quick
             test_non_finite_rejected;
+          Alcotest.test_case "forged dimension allocates nothing" `Quick
+            test_forged_dim_allocates_nothing;
         ]
-        @ serialization_props );
+        @ serialization_props @ decoder_fuzz_props );
       ( "projected",
         [
           Alcotest.test_case "identity projection matches dense" `Quick
             test_projected_identity_matches_dense;
-          Alcotest.test_case "snapshot roundtrip (text + binary)" `Quick
+          Alcotest.test_case "snapshot roundtrip" `Quick
             test_projected_snapshot_roundtrip;
           Alcotest.test_case "restore rejects corrupt projections" `Quick
             test_projected_restore_errors;
@@ -3793,7 +3618,7 @@ let () =
             test_equivalence_across_dims;
           Alcotest.test_case "in-place mutation contract" `Quick
             test_inplace_contract;
-          Alcotest.test_case "scaled serialization (ellipsoid/2)" `Quick
+          Alcotest.test_case "scaled snapshot round-trip" `Quick
             test_scaled_serialization;
           Alcotest.test_case "escaped ellipsoid safe under sparse cuts" `Quick
             test_mechanism_sparse_escape_safety;

@@ -11,7 +11,6 @@ module Ftrl = Dm_ml.Ftrl
 module Pca = Dm_ml.Pca
 module Kernel = Dm_ml.Kernel
 module Split = Dm_ml.Split
-module Metrics = Dm_ml.Metrics
 module Exp_weights = Dm_ml.Exp_weights
 module Ftpl = Dm_ml.Ftpl
 
@@ -530,6 +529,20 @@ let test_logreg_validation () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+let test_logreg_refuses_nan () =
+  let fit ~learning_rate ~l2 () =
+    ignore
+      (Logreg.fit
+         ~params:{ Logreg.learning_rate; l2; iterations = 1 }
+         (Mat.identity 2) [| true; false |])
+  in
+  Alcotest.check_raises "nan learning rate"
+    (Invalid_argument "Logreg.fit: learning rate must be > 0, not NaN")
+    (fit ~learning_rate:nan ~l2:0.);
+  Alcotest.check_raises "nan l2"
+    (Invalid_argument "Logreg.fit: negative or NaN l2")
+    (fit ~learning_rate:0.5 ~l2:nan)
+
 (* ------------------------------------------------------------------ *)
 (* Pca                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -767,6 +780,15 @@ let test_landmark_map () =
   check_float "self landmark" 1. phi.(0);
   check_float "other landmark" (exp (-2.)) phi.(1)
 
+let test_kernel_refuses_nan () =
+  let x = [| 1.; 0. |] and y = [| 0.; 1. |] in
+  Alcotest.check_raises "nan offset"
+    (Invalid_argument "Kernel.eval: negative or NaN offset") (fun () ->
+      ignore (Kernel.eval (Kernel.Polynomial { degree = 2; offset = nan }) x y));
+  Alcotest.check_raises "nan gamma"
+    (Invalid_argument "Kernel.eval: gamma must be > 0, not NaN") (fun () ->
+      ignore (Kernel.eval (Kernel.Rbf { gamma = nan }) x y))
+
 let kernel_props =
   [
     prop "rbf symmetric and bounded" 100
@@ -785,7 +807,7 @@ let kernel_props =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Split / Metrics                                                     *)
+(* Split / Categorical                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_split_random () =
@@ -804,17 +826,13 @@ let test_split_suffix () =
   check_bool "train prefix" true (train = [| 1; 2; 3 |]);
   check_bool "test suffix" true (test = [| 4; 5 |])
 
-let test_metrics () =
-  check_float "mse" 0.25 (Metrics.mse [| 1.; 2. |] [| 1.5; 2.5 |]);
-  check_float "mae" 0.5 (Metrics.mae [| 1.; 2. |] [| 1.5; 2.5 |]);
-  check_float "rmse" 0.5 (Metrics.rmse [| 1.; 2. |] [| 1.5; 2.5 |]);
-  check_float "accuracy" 0.75
-    (Metrics.accuracy ~probs:[| 0.9; 0.1; 0.8; 0.4 |]
-       ~labels:[| true; false; false; false |] ());
-  let ll =
-    Metrics.log_loss ~probs:[| 0.9; 0.1 |] ~labels:[| true; false |]
-  in
-  check_bool "log loss" true (abs_float (ll -. -.(log 0.9)) < 1e-9)
+let test_split_refuses_nan () =
+  let data = Array.init 10 (fun i -> i) in
+  let refused = Invalid_argument "Split: test_fraction outside [0,1] or NaN" in
+  Alcotest.check_raises "random" refused (fun () ->
+      ignore (Split.random (Rng.create 1) ~test_fraction:nan data));
+  Alcotest.check_raises "suffix" refused (fun () ->
+      ignore (Split.suffix ~test_fraction:nan data))
 
 let split_props =
   [
@@ -855,12 +873,6 @@ let categorical_props =
         (* Same column, same codes, twice. *)
         Categorical.transform enc col = Categorical.transform enc col);
   ]
-
-let test_metrics_errors () =
-  check_bool "mismatch" true
-    (match Metrics.mse [| 1. |] [| 1.; 2. |] with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Exponential weights / FTPL                                          *)
@@ -1114,6 +1126,7 @@ let () =
             test_logreg_predictions_in_range;
           Alcotest.test_case "l2 shrinks weights" `Quick test_logreg_l2_shrinks;
           Alcotest.test_case "validation" `Quick test_logreg_validation;
+          Alcotest.test_case "refuses NaN" `Quick test_logreg_refuses_nan;
         ] );
       ( "pca",
         [
@@ -1140,14 +1153,15 @@ let () =
           Alcotest.test_case "values" `Quick test_kernel_values;
           Alcotest.test_case "psd" `Quick test_kernel_psd;
           Alcotest.test_case "landmark map" `Quick test_landmark_map;
+          Alcotest.test_case "refuses NaN" `Quick test_kernel_refuses_nan;
         ]
         @ kernel_props );
       ( "split+metrics",
         [
           Alcotest.test_case "random split" `Quick test_split_random;
           Alcotest.test_case "suffix split" `Quick test_split_suffix;
-          Alcotest.test_case "metrics" `Quick test_metrics;
-          Alcotest.test_case "metric errors" `Quick test_metrics_errors;
+          Alcotest.test_case "test fraction refuses NaN" `Quick
+            test_split_refuses_nan;
         ]
         @ split_props @ categorical_props );
       ( "exp_weights",

@@ -249,6 +249,26 @@ let test_gaussian_scale () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+let test_composition_refuses_nan () =
+  let refused name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  let level = "Composition: negative or NaN level" in
+  refused "nan eps" level (fun () -> Compo.pure nan);
+  refused "nan del" level (fun () -> Compo.approx ~eps:0.1 ~del:nan);
+  refused "nan slack" "Composition.advanced: slack must be in (0, 1), not NaN"
+    (fun () -> Compo.advanced ~k:2 ~slack:nan (Compo.pure 0.1));
+  let ok = Compo.approx ~eps:0.5 ~del:1e-5 in
+  refused "nan sensitivity"
+    "Composition.gaussian_scale: sensitivity must be > 0, not NaN" (fun () ->
+      Compo.gaussian_scale ~sensitivity:nan ok);
+  refused "nan gaussian eps"
+    "Composition.gaussian_scale: eps must be in (0, 1], not NaN" (fun () ->
+      Compo.gaussian_scale ~sensitivity:1. { ok with Compo.eps = nan });
+  refused "nan gaussian delta"
+    "Composition.gaussian_scale: delta must be in (0, 1), not NaN" (fun () ->
+      Compo.gaussian_scale ~sensitivity:1. { ok with Compo.del = nan })
+
 let test_accountant () =
   let a = Compo.accountant ~owners:3 ~budget:(Compo.pure 1.) in
   check_bool "first spend fits" true (Compo.spend a ~owner:0 (Compo.pure 0.6));
@@ -331,6 +351,7 @@ let () =
           Alcotest.test_case "advanced" `Quick test_advanced_composition;
           Alcotest.test_case "gaussian scale" `Quick test_gaussian_scale;
           Alcotest.test_case "accountant" `Quick test_accountant;
+          Alcotest.test_case "refuses NaN" `Quick test_composition_refuses_nan;
         ]
         @ composition_props );
     ]

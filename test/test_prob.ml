@@ -224,61 +224,8 @@ let test_summary () =
   check_float "mean" 2. s.Stats.mean;
   check_float "sum" 6. s.Stats.sum
 
-let test_merge_empty () =
-  (* PR 1 fixed the ±inf extrema seeds leaking out of empty
-     accumulators; merging must not reintroduce them. *)
-  let feed xs =
-    let o = Stats.online_create () in
-    List.iter (Stats.online_add o) xs;
-    o
-  in
-  let both_empty = Stats.merge (Stats.online_create ()) (Stats.online_create ()) in
-  check_int "empty+empty count" 0 (Stats.online_count both_empty);
-  check_bool "empty+empty min nan" true
-    (Float.is_nan (Stats.online_min both_empty));
-  check_bool "empty+empty max nan" true
-    (Float.is_nan (Stats.online_max both_empty));
-  let left = Stats.merge (Stats.online_create ()) (feed [ 2.; 4. ]) in
-  check_int "empty+x count" 2 (Stats.online_count left);
-  check_float "empty+x mean" 3. (Stats.online_mean left);
-  check_float "empty+x min" 2. (Stats.online_min left);
-  check_float "empty+x max" 4. (Stats.online_max left);
-  let right = Stats.merge (feed [ 2.; 4. ]) (Stats.online_create ()) in
-  check_float "x+empty mean" 3. (Stats.online_mean right);
-  check_float "x+empty sum" 6. (Stats.online_sum right);
-  (* merge must not mutate its arguments *)
-  let a = feed [ 1. ] and b = feed [ 5. ] in
-  ignore (Stats.merge a b);
-  check_int "left untouched" 1 (Stats.online_count a);
-  check_float "right untouched" 5. (Stats.online_mean b)
-
 let stats_props =
   [
-    prop "merge matches the concatenated stream" 300
-      QCheck.(
-        pair
-          (array_of_size (QCheck.Gen.int_range 0 60) (float_range (-100.) 100.))
-          (array_of_size (QCheck.Gen.int_range 0 60) (float_range (-100.) 100.)))
-      (fun (xs, ys) ->
-        let feed arr =
-          let o = Stats.online_create () in
-          Array.iter (Stats.online_add o) arr;
-          o
-        in
-        let merged = Stats.merge (feed xs) (feed ys) in
-        let whole = feed (Array.append xs ys) in
-        let close a b =
-          (Float.is_nan a && Float.is_nan b) || abs_float (a -. b) < 1e-6
-        in
-        Stats.online_count merged = Stats.online_count whole
-        && close (Stats.online_mean merged) (Stats.online_mean whole)
-        && close (Stats.online_std merged) (Stats.online_std whole)
-        && close (Stats.online_sum merged) (Stats.online_sum whole)
-        (* extrema are exact, including the empty-side NaN case *)
-        && (let mn = Stats.online_min merged and wn = Stats.online_min whole in
-            (Float.is_nan mn && Float.is_nan wn) || mn = wn)
-        && (let mx = Stats.online_max merged and wx = Stats.online_max whole in
-            (Float.is_nan mx && Float.is_nan wx) || mx = wx));
     prop "online mean equals batch mean" 100
       QCheck.(array_of_size (QCheck.Gen.int_range 1 50) (float_range (-100.) 100.))
       (fun xs ->
@@ -346,6 +293,28 @@ let test_default_threshold () =
   let eps1 = Subgaussian.default_threshold ~dim:1 ~horizon:100 in
   check_bool "1-d value" true
     (abs_float (eps1 -. (log 100. /. log 2. /. 100.)) < 1e-12)
+
+(* NaN answers false to [<] and [<=], so each check is written as
+   [not (x >= 0.)] / [not (x > 1.)]. *)
+let test_check_c_refuses_nan () =
+  Alcotest.check_raises "nan C"
+    (Invalid_argument "Subgaussian: C must exceed 1 (NaN refused)") (fun () ->
+      ignore (Subgaussian.buffer ~c:nan ~sigma:1. ~horizon:10 ()))
+
+let test_buffer_refuses_nan () =
+  Alcotest.check_raises "nan sigma"
+    (Invalid_argument "Subgaussian.buffer: negative or NaN sigma") (fun () ->
+      ignore (Subgaussian.buffer ~sigma:nan ~horizon:10 ()))
+
+let test_sigma_for_buffer_refuses_nan () =
+  Alcotest.check_raises "nan delta"
+    (Invalid_argument "Subgaussian.sigma_for_buffer: negative or NaN delta")
+    (fun () -> ignore (Subgaussian.sigma_for_buffer ~delta:nan ~horizon:10 ()))
+
+let test_tail_bound_refuses_nan () =
+  Alcotest.check_raises "nan z"
+    (Invalid_argument "Subgaussian.tail_bound: negative or NaN z") (fun () ->
+      ignore (Subgaussian.tail_bound ~sigma:1. ~z:nan ()))
 
 let subgaussian_props =
   [
@@ -498,7 +467,6 @@ let () =
           Alcotest.test_case "quantile rejects NaN p" `Quick
             test_quantile_rejects_nan;
           Alcotest.test_case "summary" `Quick test_summary;
-          Alcotest.test_case "merge empty cases" `Quick test_merge_empty;
         ]
         @ stats_props );
       ( "subgaussian",
@@ -509,6 +477,13 @@ let () =
           Alcotest.test_case "tail bound" `Quick test_tail_bound;
           Alcotest.test_case "union bound" `Quick test_union_bound;
           Alcotest.test_case "default threshold" `Quick test_default_threshold;
+          Alcotest.test_case "C refuses NaN" `Quick test_check_c_refuses_nan;
+          Alcotest.test_case "buffer refuses NaN sigma" `Quick
+            test_buffer_refuses_nan;
+          Alcotest.test_case "sigma_for_buffer refuses NaN delta" `Quick
+            test_sigma_for_buffer_refuses_nan;
+          Alcotest.test_case "tail bound refuses NaN z" `Quick
+            test_tail_bound_refuses_nan;
         ]
         @ subgaussian_props );
     ]

@@ -11,7 +11,7 @@ module Frame = Dm_store.Frame
 module Journal = Dm_store.Journal
 module Snapshots = Dm_store.Snapshots
 module Fleet_store = Dm_store.Fleet
-module Longrun = Dm_experiments.Longrun
+module Replay_market = Dm_experiments.Replay_market
 module Recover = Dm_experiments.Recover
 module Fleet = Dm_experiments.Fleet
 
@@ -556,13 +556,14 @@ let test_pretail_corruption_refused () =
 (* Snapshots: atomic store, corrupt files skipped                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Drive a mechanism over the Longrun stream; the market index is a
-   pure function of the round so every mechanism sees the same
+(* Drive a mechanism over the Replay_market stream; the market index
+   is a pure function of the round so every mechanism sees the same
    buyers. *)
 let drive setup mech t =
-  let x, reserve = setup.Longrun.workload t in
+  let x, reserve = setup.Replay_market.workload t in
   let market =
-    (1.2 *. Vec.sum x /. float_of_int setup.Longrun.dim) +. setup.Longrun.noise t
+    (1.2 *. Vec.sum x /. float_of_int setup.Replay_market.dim)
+    +. setup.Replay_market.noise t
   in
   let d, _ = Mechanism.step mech ~x ~reserve ~market_index:market in
   match d with
@@ -571,8 +572,10 @@ let drive setup mech t =
 
 let test_snapshots_newest_skips_corrupt () =
   with_dir @@ fun dir ->
-  let setup = Longrun.make_setup ~dim:4 ~seed:11 ~rounds:200 () in
-  let mech = Longrun.mechanism setup (snd (List.nth Longrun.variants 2)) in
+  let setup = Replay_market.make_setup ~dim:4 ~seed:11 ~rounds:200 () in
+  let mech =
+    Replay_market.mechanism setup (snd (List.nth Replay_market.variants 2))
+  in
   for t = 0 to 99 do ignore (drive setup mech t) done;
   Snapshots.write ~dir ~round:100 mech;
   let b100 = Mechanism.snapshot_binary mech in
@@ -599,27 +602,25 @@ let test_snapshots_newest_skips_corrupt () =
   | _ -> Alcotest.fail "newest did not fall back to round 100"
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot cross-format equivalence (text v1/v2 vs binary v3)         *)
+(* Prices across a snapshot round-trip                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Restore the same mechanism from its text and binary snapshots and
-   drive all three over 1000 further rounds of the same dense stream:
-   every posted price must match bit-for-bit.  (The text format does
-   not record [sparse_cuts], so the streams here are dense — the App-1
-   shape — where the flag cannot influence a price.) *)
+(* Restore a mechanism from its binary snapshot and drive both over
+   1000 further rounds of the same stream: every posted price must
+   match bit-for-bit across the round trip through the snapshot
+   format. *)
 let cross_format ~dim ~variant_idx () =
   let prefix = 200 and extra = 1000 in
-  let setup = Longrun.make_setup ~dim ~seed:(31 + dim) ~rounds:(prefix + extra) () in
-  let variant = snd (List.nth Longrun.variants variant_idx) in
-  let mech = Longrun.mechanism setup variant in
+  let setup =
+    Replay_market.make_setup ~dim ~seed:(31 + dim) ~rounds:(prefix + extra) ()
+  in
+  let variant = snd (List.nth Replay_market.variants variant_idx) in
+  let mech = Replay_market.mechanism setup variant in
   for t = 0 to prefix - 1 do ignore (drive setup mech t) done;
-  let m_text = ok_or_fail (Mechanism.restore (Mechanism.snapshot mech)) in
   let m_bin = ok_or_fail (Mechanism.restore (Mechanism.snapshot_binary mech)) in
   let run m = Array.init extra (fun i -> drive setup m (prefix + i)) in
   let p0 = run mech in
-  let p_text = run m_text in
   let p_bin = run m_bin in
-  check_bool "text restore prices bit-identical" true (p0 = p_text);
   check_bool "binary restore prices bit-identical" true (p0 = p_bin)
 
 let test_restore_error_names_position () =
@@ -639,20 +640,20 @@ let recover_one ?initial dir =
 let test_store_crash_recover_compact () =
   with_dir @@ fun dir ->
   let rounds = 400 and crash = 250 in
-  let setup = Longrun.make_setup ~dim:4 ~seed:17 ~rounds () in
-  let variant = snd (List.hd Longrun.variants) in
+  let setup = Replay_market.make_setup ~dim:4 ~seed:17 ~rounds () in
+  let variant = snd (List.hd Replay_market.variants) in
   let store =
     Fleet_store.create ~segment_bytes:4096 ~snapshot_every:64 ~dir ~tenants:1 ()
   in
-  let mech = Longrun.mechanism setup variant in
+  let mech = Replay_market.mechanism setup variant in
   ignore
     (Broker.run
        ~journal:(Fleet_store.sink store ~tenant:0 ~mech)
-       ~policy:(Broker.Ellipsoid_pricing mech) ~model:setup.Longrun.model
-       ~noise:setup.Longrun.noise ~workload:setup.Longrun.workload
+       ~policy:(Broker.Ellipsoid_pricing mech) ~model:setup.Replay_market.model
+       ~noise:setup.Replay_market.noise ~workload:setup.Replay_market.workload
        ~rounds:crash ());
   Fleet_store.simulate_crash store ~keep:0.5 ~junk:"torn-tail-garbage";
-  let fresh _ = Longrun.mechanism setup variant in
+  let fresh _ = Replay_market.mechanism setup variant in
   let rec1 = ok_or_fail (recover_one ~initial:fresh dir) in
   check_bool "recovered from a snapshot" true (rec1.Fleet_store.snapshot_round > 0);
   check_bool "journal covers the prefix" true
@@ -687,17 +688,18 @@ let test_store_crash_recover_compact () =
 let test_store_compact_corrupt_newest_snapshot () =
   with_dir @@ fun dir ->
   let rounds = 400 in
-  let setup = Longrun.make_setup ~dim:4 ~seed:19 ~rounds () in
-  let variant = snd (List.hd Longrun.variants) in
+  let setup = Replay_market.make_setup ~dim:4 ~seed:19 ~rounds () in
+  let variant = snd (List.hd Replay_market.variants) in
   let store =
     Fleet_store.create ~segment_bytes:4096 ~snapshot_every:64 ~dir ~tenants:1 ()
   in
-  let mech = Longrun.mechanism setup variant in
+  let mech = Replay_market.mechanism setup variant in
   ignore
     (Broker.run
        ~journal:(Fleet_store.sink store ~tenant:0 ~mech)
-       ~policy:(Broker.Ellipsoid_pricing mech) ~model:setup.Longrun.model
-       ~noise:setup.Longrun.noise ~workload:setup.Longrun.workload ~rounds ());
+       ~policy:(Broker.Ellipsoid_pricing mech) ~model:setup.Replay_market.model
+       ~noise:setup.Replay_market.noise ~workload:setup.Replay_market.workload
+       ~rounds ());
   Fleet_store.close store;
   let snap_dir = Fleet_store.tenant_dir dir 0 in
   let snaps = Snapshots.rounds ~dir:snap_dir in
@@ -719,33 +721,6 @@ let test_store_compact_corrupt_newest_snapshot () =
     && after.Fleet_store.snapshot_round = before.Fleet_store.snapshot_round
     && String.equal state_before
          (Mechanism.snapshot_binary (Option.get after.Fleet_store.mechanism)))
-
-let test_sharded_journal_identity () =
-  let rounds = 400 in
-  let setup = Longrun.make_setup ~dim:8 ~seed:23 ~rounds () in
-  let variant = snd (List.nth Longrun.variants 3) in
-  let collect run_fn =
-    let buf = Buffer.create (1 lsl 16) in
-    let mech = Longrun.mechanism setup variant in
-    ignore
-      (run_fn
-         ~journal:(fun e -> Buffer.add_string buf (Journal.encode_event ~tenant:0 e))
-         ~policy:(Broker.Ellipsoid_pricing mech));
-    Buffer.contents buf
-  in
-  let sequential =
-    collect (fun ~journal ~policy ->
-        Broker.run ~journal ~policy ~model:setup.Longrun.model
-          ~noise:setup.Longrun.noise ~workload:setup.Longrun.workload ~rounds ())
-  in
-  let sharded =
-    collect (fun ~journal ~policy ->
-        Broker.run_sharded ~journal ~mode:Broker.Exact ~shards:5 ~policy
-          ~model:setup.Longrun.model ~noise:setup.Longrun.noise
-          ~workload:setup.Longrun.workload ~rounds ())
-  in
-  check_bool "sharded journal stream bit-identical" true
-    (String.equal sequential sharded)
 
 (* ------------------------------------------------------------------ *)
 (* Fleet: shared group-commit journal                                  *)
@@ -1100,8 +1075,6 @@ let () =
             test_store_crash_recover_compact;
           Alcotest.test_case "compact with corrupt newest snapshot" `Quick
             test_store_compact_corrupt_newest_snapshot;
-          Alcotest.test_case "sharded journal bit-identity" `Quick
-            test_sharded_journal_identity;
         ] );
       ( "fleet",
         [
